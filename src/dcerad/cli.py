@@ -47,7 +47,7 @@ def _extract_one(task):
         radiomic = extract_radiomic_features(series, roi, catalog, config.bin_count)
         row = np.concatenate([dynamic.as_array(), radiomic.values])
         return None, row
-    except Exception as exc:  # propagated with the lesion named
+    except (DceradError, OSError) as exc:  # propagated with the lesion named
         return f"lesion {record.patient_id}/{record.lesion_id}: {exc}", None
 
 

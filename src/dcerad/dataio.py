@@ -24,6 +24,7 @@ bit-exact.
 import gzip
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,10 @@ _RAW_DTYPES = {"f32": "<f4", "f64": "<f8"}
 def _read_file(path) -> bytes:
     blob = Path(path).read_bytes()
     if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise TruncatedFile(f"{path}: corrupt or truncated gzip stream ({exc})") from exc
     return blob
 
 
@@ -210,14 +214,16 @@ def write_manifest(path, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_lesion(record: ManifestRecord, phase_interval_s: float = 90.0
-                ) -> tuple[DceSeries, LesionRoi]:
+def load_lesion(record: ManifestRecord) -> tuple[DceSeries, LesionRoi]:
     phases = tuple(load_volume(p) for p in record.phase_paths)
-    series = DceSeries(phases, phase_interval_s)
+    series = DceSeries(phases)
     mask_vol = load_volume(record.mask_path)
     if mask_vol.dims != series.dims:
         raise DimensionMismatch(
             f"{record.mask_path}: mask dims {mask_vol.dims} != series dims {series.dims}")
+    if mask_vol.spacing != series.spacing:
+        raise DimensionMismatch(f"{record.mask_path}: mask spacing {mask_vol.spacing} "
+                                f"!= series spacing {series.spacing}")
     mask = Mask3D(mask_vol.data != 0)
     roi = LesionRoi(record.patient_id, record.lesion_id, mask, record.label)
     return series, roi

@@ -49,12 +49,6 @@ class TooFewRows(DceradError):
     pass
 
 
-class NonConvergence(DceradError):
-    def __init__(self, sweeps: int):
-        super().__init__(f"coordinate descent did not converge after {sweeps} sweeps")
-        self.sweeps = sweeps
-
-
 class TooFewSamples(DceradError):
     pass
 

@@ -4,21 +4,38 @@ The fit minimizes
 
     (1/2n) * sum_i (y_i - x_i . beta)^2 + lambda * sum_j |beta_j|
 
-by cyclic coordinate descent with the soft-threshold update
-S(z, lam) = sign(z) * max(|z| - lam, 0).  Columns are standardized to mean 0
-and unit standard deviation (population convention, divisor n) beforehand;
-zero-variance columns are dropped and reported.  The penalty weight is chosen
-on a 100-point log grid from lambda_max down to lambda_max/1000 by grouped,
-stratified cross-validation, minimizing mean squared out-of-fold error with
-ties broken toward the smaller (denser) lambda.
+exactly, by the LARS-lasso homotopy (Efron, Hastie, Johnstone & Tibshirani
+2004, Ann. Statist. 32:407; Osborne, Presnell & Turlach 2000, IMA J. Numer.
+Anal. 20:389).  With G = x'x/n, the solution is piecewise linear in lambda:
+while the active set A and its signs s_A stay fixed,
+beta_A = G_AA^-1 (x_A'y/n - lambda s_A).  The walk starts at lambda_max, where
+beta = 0, and goes down from breakpoint to breakpoint: an inactive column's
+|x_j'r/n| reaches lambda (it joins A) or an active coefficient reaches zero
+(it drops).  Coefficients at a requested penalty are read off its segment, so
+the answer has no convergence tolerance and no iteration budget.
+
+Degenerate designs are the rule here (duplicate feature columns, p > n), and
+two rules keep the walk well defined.  When several columns reach lambda
+together, the lowest column index joins.  A column joins only while G_AA
+stays nonsingular; a column in the span of A keeps beta_j = 0 with
+|x_j'r/n| = lambda, which satisfies the KKT conditions, and is looked at again
+after the next drop.  Both rules compare against floating-point rounding,
+not against a convergence criterion.
+
+Columns are standardized to mean 0 and unit standard deviation (population
+convention, divisor n) beforehand; zero-variance columns are dropped and
+reported.  The penalty weight is chosen on a 100-point log grid from
+lambda_max down to lambda_max/1000 by grouped, stratified cross-validation,
+minimizing mean squared out-of-fold error with ties broken toward the smaller
+(denser) lambda.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import NonConvergence, TooFewRows
+from .errors import TooFewRows
 from .folds import grouped_stratified_folds
 from .kinetics import DYNAMIC_FEATURE_NAMES
 
@@ -28,8 +45,13 @@ BLOCKS = (DYNAMIC_BLOCK, RADIOMIC_BLOCK)
 
 DEFAULT_GRID_SIZE = 100
 DEFAULT_CV_FOLDS = 5
-CD_TOL = 1e-7
-CD_MAX_SWEEPS = 100_000
+# Breakpoints within this relative distance are one tie.  Duplicate columns
+# reach lambda together; rounding separates their breakpoints by up to ~3e-12.
+_TIE = 1e-9
+# A joining column whose squared distance from span(A), relative to its squared
+# norm, is at most this is in span(A).  On the 200-lesion phantom the values
+# are <= 1.3e-15 for dependent columns and >= 1.2e-6 for the others.
+_DEPENDENT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,10 +142,6 @@ class SelectionModel:
                    selected=tuple(d["selected"]))
 
 
-def soft_threshold(z: float, lam: float) -> float:
-    return np.sign(z) * max(abs(z) - lam, 0.0)
-
-
 def standardize(values: np.ndarray, names=None):
     """Column-wise (x - mean) / std with population std; zero-variance columns
     are dropped.  Returns (standardized, means, stds, kept_idx, dropped_names)."""
@@ -145,214 +163,77 @@ def lasso_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) 
     return float(0.5 * (r @ r) / x.shape[0] + lam * np.abs(beta).sum())
 
 
-_GS_CAP = 64
-
-
-def _cd_candidate_passes(gram, gdiag, xty, lam, beta, candidates, q, passes, budget):
-    """Cyclic passes restricted to the candidate coordinates until no candidate
-    moves by CD_TOL.  Once a scalar pass finishes without any sign change, the
-    soft-threshold is affine on the active set: the stationary point cyclic
-    descent converges to solves the active-set linear system, so it is taken
-    directly when the solution validates (finite, sign-consistent, tiny
-    residual); otherwise a capped run of Gauss-Seidel iterations (one cyclic
-    pass each, via a triangular solve) makes monotone progress and control
-    returns to the scalar pass.  Updates beta in place; returns the pass count.
-    """
-    g_cc = gram[np.ix_(candidates, candidates)]
-    gd = gdiag[candidates]
-    xt = xty[candidates]
-    b = beta[candidates].copy()
-    qc_base = q[candidates] - g_cc @ b
-    k = candidates.size
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 256 or passes >= budget:
-            break                          # hand control back to the screen
-        qc = qc_base + g_cc @ b
-        signs_before = np.sign(b)
-        max_delta = 0.0
-        for j in range(k):
-            c_j = xt[j] - qc[j] + gd[j] * b[j]
-            b_new = soft_threshold(c_j, lam) / gd[j]
-            delta = b_new - b[j]
-            if delta != 0.0:
-                qc += g_cc[:, j] * delta
-                b[j] = b_new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        passes += 1
-        if max_delta < CD_TOL:
-            break
-        if (np.sign(b) != signs_before).any():
-            continue
-        nzl = np.flatnonzero(b)
-        if nzl.size == 0:
-            continue
-
-        # Stationary-point jump with feature-sign line search: solve the
-        # active-set system; while the solution flips signs, step only to the
-        # first zero crossing, retire that coordinate, and re-solve.  Every
-        # step descends the objective, so combined with the scalar passes the
-        # sign pattern cannot cycle.  The min-norm solve handles exactly
-        # collinear columns; an inconsistent system (no stationary point for
-        # this pattern) falls back to capped Gauss-Seidel iterations.
-        jumped = False
-        sub = nzl
-        b_sub = b[sub].copy()
-        s_sub = np.sign(b_sub)
-        for _ in range(sub.size + 1):
-            a_sub = g_cc[np.ix_(sub, sub)]
-            rhs = xt[sub] - lam * s_sub - qc_base[sub]
-            b_star = np.linalg.lstsq(a_sub, rhs, rcond=None)[0]
-            passes += 1
-            scale = max(1.0, float(np.abs(rhs).max()))
-            if not (np.isfinite(b_star).all()
-                    and float(np.abs(a_sub @ b_star - rhs).max()) < 1e-9 * scale):
-                break                      # no stationary point here: iterate instead
-            flipped = s_sub * b_star <= 0
-            if not flipped.any():
-                b[nzl] = 0.0
-                b[sub] = b_star
-                jumped = True
-                break
-            t_cross = b_sub[flipped] / (b_sub[flipped] - b_star[flipped])
-            t = float(t_cross.min())
-            b_sub = b_sub + t * (b_star - b_sub)
-            retire = np.zeros(sub.size, dtype=bool)
-            retire[np.flatnonzero(flipped)[t_cross <= t]] = True
-            b_sub[retire] = 0.0
-            b[nzl] = 0.0
-            b[sub] = b_sub
-            sub = sub[~retire]
-            b_sub = b_sub[~retire]
-            s_sub = s_sub[~retire]
-            if sub.size == 0:
-                break
-        if not jumped:
-            nzl = np.flatnonzero(b)
-            if nzl.size == 0:
-                continue
-            s = np.sign(b[nzl])
-            a_sub = g_cc[np.ix_(nzl, nzl)]
-            rhs = xt[nzl] - lam * s - qc_base[nzl]
-            lower = np.tril(a_sub)
-            upper = np.triu(a_sub, 1)
-            b_sub = b[nzl].copy()
-            for _ in range(_GS_CAP):
-                b_next = solve_triangular(lower, rhs - upper @ b_sub, lower=True)
-                passes += 1
-                if (s * b_next <= 0).any():
-                    break                  # branch broke: discard, resume scalar
-                delta = float(np.abs(b_next - b_sub).max())
-                b_sub = b_next
-                if delta < CD_TOL or passes >= budget:
-                    break
-            b[nzl] = b_sub
-    beta[candidates] = b
-    return passes
-
-
-_STALL_WINDOW = 200
-_STALL_FACTOR = 0.97
-_MATERIAL_MOVE = 1e-3
-
-
-def _cd_minimize(gram, gdiag, xty, lam, beta, budget):
-    """Coordinate descent to tolerance CD_TOL; beta is updated in place and the
-    number of cyclic passes consumed is returned.
-
-    A vectorized screen finds every coordinate whose exact single-coordinate
-    minimizer moves by >= CD_TOL; those run cyclic candidate passes.
-    Convergence is declared when a fresh screen over all coordinates shows no
-    such move, i.e. a full cyclic sweep would change no coefficient by CD_TOL
-    or more.
-
-    Near-collinear designs can cycle at float resolution with single-coordinate
-    moves hovering just above CD_TOL while the objective is long converged; the
-    descent stops once the screen's largest move fails to improve for
-    _STALL_WINDOW consecutive screens (or the sweep budget runs out) provided
-    the iterate is no longer moving materially.  A budget exhausted while
-    moves are still material raises NonConvergence.
-    """
-    p = beta.shape[0]
-    passes = 0
-    solvable = gdiag > 0
-    safe_gdiag = np.where(solvable, gdiag, 1.0)
-    best_move = np.inf
-    screens_without_progress = 0
-    while True:
-        nz = np.flatnonzero(beta)
-        q = gram[:, nz] @ beta[nz] if nz.size else np.zeros(p)
-        c = xty - q + gdiag * beta
-        target = np.where(solvable,
-                          np.sign(c) * np.maximum(np.abs(c) - lam, 0.0) / safe_gdiag,
-                          beta)
-        moves = np.abs(target - beta)
-        candidates = np.flatnonzero(moves >= CD_TOL)
-        passes += 1
-        if candidates.size == 0:
-            return passes
-        max_move = float(moves[candidates].max())
-        if max_move < _STALL_FACTOR * best_move:
-            best_move = max_move
-            screens_without_progress = 0
-        else:
-            screens_without_progress += 1
-        if screens_without_progress >= _STALL_WINDOW and max_move < _MATERIAL_MOVE:
-            return passes
-        if passes >= budget:
-            if max_move >= _MATERIAL_MOVE:
-                raise NonConvergence(passes)
-            return passes
-        passes = _cd_candidate_passes(gram, gdiag, xty, lam, beta, candidates,
-                                      q, passes, budget)
-
-
-def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, beta0=None,
-              track_objective: bool = False):
-    """Coordinate-descent LASSO at one penalty.
-
-    Returns beta, or (beta, objective_history) with track_objective, where the
-    history holds the penalized objective after every cyclic pass.
-    """
+def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
+    """Exact LASSO coefficients at each of the non-increasing penalties, shape
+    (len(lambdas), p), read off the piecewise-linear solution path."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    if np.any(np.diff(lambdas) > 0) or np.any(lambdas < 0):
+        raise ValueError("penalties must be non-negative and non-increasing")
     n, p = x.shape
     gram = x.T @ x / n
     xty = x.T @ y / n
-    gdiag = np.diag(gram).copy()
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
-
-    if not track_objective:
-        _cd_minimize(gram, gdiag, xty, lam, beta, CD_MAX_SWEEPS)
-        return beta
-
-    q = gram @ beta
-    history = [lasso_objective(x, y, beta, lam)]
-    passes = 0
-    solvable = gdiag > 0
+    out = np.zeros((lambdas.shape[0], p))
+    active, signs = [], []
+    chol = np.zeros((0, 0))          # lower Cholesky factor of gram[A, A]
+    u = w = np.zeros(0)              # on this segment beta_A = u - lam * w
+    # side (+lam, -lam) of column j may join only at penalties below
+    # barred[side, j]: -inf while j is in span(A), the drop penalty after j
+    # leaves A from that side (so no join/drop pair repeats at one penalty)
+    barred = np.full((2, p), np.inf)
+    lam = np.abs(xty).max(initial=0.0)   # lambda_max: beta = 0 down to here
+    i = 0
     while True:
-        max_delta = 0.0
-        for j in range(p):
-            if not solvable[j]:
+        g_a = gram[:, active]
+        e = xty - g_a @ u            # correlations x'r/n = e + lam * a
+        a = g_a @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # where c_j reaches +lam / -lam as lam falls; clipped to lam, so a
+            # column already past the penalty by rounding joins at once
+            roots = np.where([a < 1, a > -1], [e / (1 - a), -e / (1 + a)], -np.inf)
+            shrink = np.where(np.array(signs) * w < 0, u / w, -np.inf)
+        roots[:, active] = -np.inf
+        roots[~(lam < barred)] = -np.inf
+        join = np.minimum(roots.max(axis=0), lam)
+        lam_join = join.max()
+        j = int(np.argmax(join >= (1 - _TIE) * lam_join))
+        drop = np.minimum(shrink, lam)
+        k = int(np.argmax(drop)) if active else -1
+        lam_drop = drop[k] if active else -np.inf
+        lam_next = max(lam_join, lam_drop)
+        while i < lambdas.shape[0] and lambdas[i] >= lam_next:
+            out[i, active] = u - lambdas[i] * w
+            i += 1
+        if i == lambdas.shape[0]:
+            return out
+        lam = lam_next
+        if lam_drop >= lam_join:     # an active coefficient reaches zero
+            col = active.pop(k)
+            barred[barred == -np.inf] = np.inf
+            barred[int(signs.pop(k) < 0), col] = lam
+            chol = np.linalg.cholesky(gram[np.ix_(active, active)])
+        else:                        # column j reaches the penalty
+            v = solve_triangular(chol, gram[active, j], lower=True)
+            d2 = gram[j, j] - v @ v
+            if not d2 > _DEPENDENT * gram[j, j]:
+                barred[:, j] = -np.inf
                 continue
-            c_j = xty[j] - q[j] + gdiag[j] * beta[j]
-            b_new = soft_threshold(c_j, lam) / gdiag[j]
-            delta = b_new - beta[j]
-            if delta != 0.0:
-                q += gram[j] * delta
-                beta[j] = b_new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        passes += 1
-        history.append(lasso_objective(x, y, beta, lam))
-        if max_delta < CD_TOL:
-            return beta, history
-        if passes >= CD_MAX_SWEEPS:
-            if max_delta >= _MATERIAL_MOVE:
-                raise NonConvergence(passes)
-            return beta, history
+            n_a = len(active)
+            grown = np.zeros((n_a + 1, n_a + 1))
+            grown[:n_a, :n_a] = chol
+            grown[n_a, :n_a] = v
+            grown[n_a, n_a] = np.sqrt(d2)
+            chol = grown
+            active.append(j)
+            signs.append(1.0 if roots[0, j] >= roots[1, j] else -1.0)
+        uw = cho_solve((chol, True), np.column_stack([xty[active], signs]))
+        u, w = uw[:, 0], uw[:, 1]
+
+
+def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Exact LASSO coefficients at one penalty (the homotopy stopped at lam)."""
+    return _homotopy(x, y, [lam])[0]
 
 
 def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -366,19 +247,8 @@ def lambda_grid(lam_max: float, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarra
 
 
 def lasso_path(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
-    """Warm-started coefficients for a descending penalty grid, shape (len, p)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = x.shape
-    gram = x.T @ x / n
-    xty = x.T @ y / n
-    gdiag = np.diag(gram).copy()
-    beta = np.zeros(p)
-    out = np.zeros((len(lambdas), p))
-    for i, lam in enumerate(lambdas):
-        _cd_minimize(gram, gdiag, xty, float(lam), beta, CD_MAX_SWEEPS)
-        out[i] = beta
-    return out
+    """Exact coefficients for a non-increasing penalty grid, shape (len, p)."""
+    return _homotopy(x, y, lambdas)
 
 
 def lambda_path_cv(x: np.ndarray, y: np.ndarray, groups,

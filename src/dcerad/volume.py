@@ -100,7 +100,6 @@ class DceSeries:
     """Six co-registered phases C0..C5 sharing one grid."""
 
     phases: tuple[Volume3D, ...]
-    phase_interval_s: float = 90.0
 
     def __post_init__(self):
         phases = tuple(self.phases)
@@ -110,8 +109,6 @@ class DceSeries:
         for i, p in enumerate(phases[1:], start=1):
             if p.dims != first.dims or p.spacing != first.spacing:
                 raise DimensionMismatch(f"phase {i} grid differs from phase 0")
-        if not self.phase_interval_s > 0:
-            raise DimensionMismatch("phase_interval_s must be > 0")
         object.__setattr__(self, "phases", phases)
 
     @property

@@ -16,7 +16,8 @@ from dcerad.lda import lda_fit, lda_predict, lda_score
 from dcerad.radiomics import (GLCM_NAMES, GLCM_OFFSETS, GLDM_NAMES, GLSZM_NAMES,
                               glcm_features, glcm_matrix, gldm_features, gldm_matrix,
                               glszm_features, glszm_matrix)
-from dcerad.selection import FeatureMatrix, lambda_grid, lambda_max, lasso_fit, lasso_path
+from dcerad.selection import (FeatureMatrix, lambda_grid, lambda_max, lasso_fit,
+                              lasso_objective, lasso_path)
 from dcerad.volume import voxel_count
 
 from conftest import make_volume, random_series_and_mask
@@ -26,7 +27,7 @@ from test_kinetics import reference_kinetics
 from test_radiomics import (glcm_features_oracle, glcm_oracle, gldm_features_oracle,
                             gldm_oracle, glszm_features_oracle, glszm_oracle,
                             random_levels)
-from test_selection import orthonormal_design
+from test_selection import kkt_residual, orthonormal_design, reference_cd
 
 
 def report(num, desc, ok, detail=""):
@@ -186,8 +187,10 @@ def test_criterion_06_lasso_properties():
     rng = np.random.default_rng(99)
     x = rng.normal(size=(40, 12))
     y = rng.normal(size=40)
-    _, history = lasso_fit(x, y, 0.05, track_objective=True)
-    descent_ok = all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+    beta = lasso_fit(x, y, 0.05)
+    optimal_ok = (kkt_residual(x, y, [0.05], beta) <= 1e-9
+                  and lasso_objective(x, y, beta, 0.05)
+                  <= lasso_objective(x, y, reference_cd(x, y, 0.05), 0.05) + 1e-12)
 
     x = orthonormal_design(np.random.default_rng(3), 64, 10)
     y = np.random.default_rng(3).normal(size=64)
@@ -195,9 +198,10 @@ def test_criterion_06_lasso_properties():
     nnz = (lasso_path(x, y, grid) != 0).sum(axis=1)
     monotone_ok = bool(np.all(np.diff(nnz) >= 0))
 
-    report(6, "LASSO closed form (50 seeds), all-zero at lambda_max, objective "
-              "descent, monotone support along the grid",
-           closed_ok and descent_ok and monotone_ok,
+    report(6, "LASSO closed form (50 seeds), all-zero at lambda_max, exact "
+              "optimality (KKT, objective <= reference CD), monotone support "
+              "along the grid",
+           closed_ok and optimal_ok and monotone_ok,
            f"closed-form worst {worst:.2e}")
 
 

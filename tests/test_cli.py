@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from dcerad import dataio
+from dcerad import cli, dataio
 from dcerad.cli import main
 from dcerad.config import RunConfig, load_config
 from dcerad.errors import ParseError
 from dcerad.kinetics import DYNAMIC_FEATURE_NAMES
 from dcerad.selection import FeatureMatrix
+
+from test_dataio import build_nifti
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,33 @@ def test_extract_manifest_with_missing_volume(tmp_path, capsys):
     code = main(["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv")])
     assert code == 1
     assert "a.raw" in capsys.readouterr().err
+
+
+def test_extract_truncated_gzip_volume_exits_1(tmp_path, capsys):
+    names = []
+    for k in range(7):                                # six phases and the mask
+        blob = build_nifti((2, 1, 1), (1, 1, 1), 16, [1.0, 2.0], gzipped=True)
+        names.append(f"v{k}.nii.gz")
+        (tmp_path / names[-1]).write_bytes(blob[:-12] if k == 2 else blob)
+    path = tmp_path / "manifest.txt"
+    dataio.write_manifest(path, [("P1", "L1", names[:6], names[6], "benign")])
+    code = main(["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv"),
+                 "--workers", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1 and "v2.nii.gz" in errors[0]
+    assert not any("Traceback" in line for line in err)
+
+
+def test_extract_propagates_programming_errors(small_corpus, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("simulated programming error")
+
+    monkeypatch.setattr(cli, "extract_radiomic_features", broken)
+    with pytest.raises(TypeError, match="simulated"):
+        main(["extract", "--manifest", str(small_corpus), "--out", str(tmp_path / "f.csv"),
+              "--workers", "1"])
 
 
 # --- crossval ----------------------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dcerad import dataio
-from dcerad.errors import (BadMagic, DuplicateLesion, HeaderMismatch, IoError,
-                           MetadataMismatch, MissingSidecar, NonFiniteIntensity,
-                           NonPositivePixdim, ParseError, TruncatedFile,
-                           UnknownLabel, UnsupportedDatatype)
+from dcerad.errors import (BadMagic, DimensionMismatch, DuplicateLesion, HeaderMismatch,
+                           IoError, MetadataMismatch, MissingSidecar,
+                           NonFiniteIntensity, NonPositivePixdim, ParseError,
+                           TruncatedFile, UnknownLabel, UnsupportedDatatype)
 from dcerad.selection import FeatureMatrix
 
 from conftest import make_volume
@@ -128,6 +128,17 @@ def test_nifti_truncated_file(tmp_path):
     with pytest.raises(TruncatedFile):
         dataio.load_nifti(path)
     path.write_bytes(b"\x00" * 100)
+    with pytest.raises(TruncatedFile):
+        dataio.load_nifti(path)
+
+
+def test_nifti_truncated_gzip_stream(tmp_path):
+    blob = build_nifti((2, 2, 2), (1, 1, 1), 16, np.arange(8.0), gzipped=True)
+    path = tmp_path / "vol.nii.gz"
+    path.write_bytes(blob[:-12])                      # gzip trailer cut off
+    with pytest.raises(TruncatedFile):
+        dataio.load_nifti(path)
+    path.write_bytes(blob[:10] + b"\xff" * 40)       # corrupt deflate data
     with pytest.raises(TruncatedFile):
         dataio.load_nifti(path)
 
@@ -342,3 +353,13 @@ def test_load_lesion_dispatch(tmp_path):
     series, roi = dataio.load_lesion(dataio.load_manifest(path)[0])
     assert series.dims == (1, 1, 1)
     assert roi.label == "malignant"
+
+
+def test_load_lesion_rejects_mask_on_other_spacing(tmp_path):
+    phases, mask = write_corpus_files(tmp_path, "c")
+    (tmp_path / (mask + ".json")).write_text(
+        '{"dims": [1, 1, 1], "spacing": [1, 1, 2], "dtype": "f32", "byte_order": "little"}')
+    path = tmp_path / "manifest.txt"
+    dataio.write_manifest(path, [("P1", "L1", phases, mask, "benign")])
+    with pytest.raises(DimensionMismatch, match="spacing"):
+        dataio.load_lesion(dataio.load_manifest(path)[0])

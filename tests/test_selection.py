@@ -1,17 +1,71 @@
 import numpy as np
 import pytest
 
-from dcerad.errors import NonConvergence, TooFewRows
+from dcerad.errors import TooFewRows
 from dcerad.kinetics import DYNAMIC_FEATURE_NAMES
 from dcerad.selection import (FeatureMatrix, SelectionModel, lambda_grid, lambda_max,
                               lambda_path_cv, lasso_fit, lasso_objective, lasso_path,
-                              select_block, soft_threshold, standardize)
+                              select_block, standardize)
 
 
 def orthonormal_design(rng, n, p):
     """Columns with x_j . x_k = n * delta_jk, so the closed form applies."""
     q, _ = np.linalg.qr(rng.normal(size=(n, p)))
     return q[:, :p] * np.sqrt(n)
+
+
+def reference_cd(x, y, lam, tol=1e-7, max_sweeps=100_000):
+    """Plain cyclic coordinate descent from zero with the soft-threshold update,
+    stopped once a full sweep moves no coefficient by tol: an independent,
+    slow reference for the homotopy."""
+    n, p = x.shape
+    gram = x.T @ x / n
+    xty = x.T @ y / n
+    beta = np.zeros(p)
+    q = np.zeros(p)                          # gram @ beta
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(p):
+            if gram[j, j] <= 0:
+                continue
+            c_j = xty[j] - q[j] + gram[j, j] * beta[j]
+            b_new = np.sign(c_j) * max(abs(c_j) - lam, 0.0) / gram[j, j]
+            delta = b_new - beta[j]
+            if delta != 0.0:
+                q += gram[j] * delta
+                beta[j] = b_new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < tol:
+            break
+    return beta
+
+
+def kkt_residual(x, y, lambdas, betas) -> float:
+    """Largest KKT residual over columns and grid points, relative to lambda,
+    with sign consistency: x_j'r/n = lambda * sign(beta_j) where beta_j != 0,
+    |x_j'r/n| <= lambda where beta_j == 0."""
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    betas = np.atleast_2d(betas)
+    grad = x.T @ (y[:, None] - x @ betas.T) / x.shape[0]
+    resid = np.where(betas.T != 0.0, np.abs(grad - lambdas * np.sign(betas.T)),
+                     np.maximum(np.abs(grad) - lambdas, 0.0))
+    return float((resid / lambdas).max())
+
+
+def degenerate_design(seed=0, n=20, p=60):
+    """Standardized p > n design with a duplicate (column 31 is column 4 in
+    other units, as TotalEnergy is Energy; equal up to rounding once
+    standardized), a column that is the sum of two others (column 40 =
+    columns 1 + 2) and an all-zero column (column 50)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    x[:, 31] = 3.0 * x[:, 4] + 1.0
+    x[:, 40] = x[:, 1] + x[:, 2]
+    x[:, 50] = 0.0
+    std = x.std(axis=0)
+    x = (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    y = 2.0 * x[:, 4] - 1.5 * x[:, 1] + rng.normal(size=n)
+    return x, y - y.mean()
 
 
 def make_matrix(rng, n=40, p_extra=6, signal_col="washout_ratio", effect=3.0):
@@ -60,12 +114,6 @@ def test_standardize_too_few_rows():
 # --- lasso ------------------------------------------------------------------------
 
 
-def test_soft_threshold():
-    assert soft_threshold(3.0, 1.0) == 2.0
-    assert soft_threshold(-3.0, 1.0) == -2.0
-    assert soft_threshold(0.5, 1.0) == 0.0
-
-
 def test_all_zero_at_lambda_max():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 8))
@@ -92,17 +140,14 @@ def test_orthonormal_closed_form(seed):
     assert np.allclose(beta, expected, atol=1e-6)
 
 
-def test_objective_descends_per_sweep():
+def test_fit_is_optimal_against_reference_cd():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(40, 12))
     y = rng.normal(size=40)
-    beta, history = lasso_fit(x, y, 0.05, track_objective=True)
-    assert len(history) >= 2
-    for before, after in zip(history, history[1:]):
-        assert after <= before + 1e-12
-    # and the returned beta matches the fast path's optimum
-    fast = lasso_fit(x, y, 0.05)
-    assert lasso_objective(x, y, fast, 0.05) == pytest.approx(history[-1], abs=1e-9)
+    beta = lasso_fit(x, y, 0.05)
+    assert kkt_residual(x, y, [0.05], beta) <= 1e-9
+    reference = reference_cd(x, y, 0.05)
+    assert lasso_objective(x, y, beta, 0.05) <= lasso_objective(x, y, reference, 0.05) + 1e-12
 
 
 def test_monotone_sparsity_orthonormal():
@@ -127,16 +172,31 @@ def test_monotone_sparsity_fixed_general_design():
     assert np.all(np.diff(nnz) >= 0)
 
 
-def test_nonconvergence_reports_sweeps():
-    from dcerad.selection import _cd_minimize
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(20, 10))
-    y = rng.normal(size=20)
-    gram = x.T @ x / 20
-    xty = x.T @ y / 20
-    with pytest.raises(NonConvergence) as exc:
-        _cd_minimize(gram, np.diag(gram).copy(), xty, 1e-6, np.zeros(10), budget=2)
-    assert exc.value.sweeps >= 2
+def test_path_optimal_on_degenerate_wide_design():
+    x, y = degenerate_design()
+    grid = lambda_grid(lambda_max(x, y), 25)
+    betas = lasso_path(x, y, grid)
+    assert kkt_residual(x, y, grid, betas) <= 1e-9
+    for lam, beta in zip(grid, betas):
+        reference = reference_cd(x, y, lam)
+        assert lasso_objective(x, y, beta, lam) <= lasso_objective(x, y, reference, lam) + 1e-12
+
+
+def test_path_tie_and_rank_rules():
+    x, y = degenerate_design()
+    betas = lasso_path(x, y, lambda_grid(lambda_max(x, y), 25))
+    assert np.any(betas[:, 4] != 0.0)          # the lower index of the duplicate
+    assert np.all(betas[:, 31] == 0.0)         # ... carries all of the weight
+    assert np.all(betas[:, 50] == 0.0)         # the zero column never joins
+    active = betas != 0.0
+    assert not np.any(active[:, [1, 2, 40]].all(axis=1))   # column 40 = 1 + 2
+    assert active.sum(axis=1).max() <= x.shape[0]
+
+
+def test_path_rejects_increasing_grid():
+    x, y = degenerate_design()
+    with pytest.raises(ValueError):
+        lasso_path(x, y, [0.1, 0.2])
 
 
 # --- lambda path CV -----------------------------------------------------------------
