@@ -9,12 +9,22 @@ Texture conventions:
 
 * gray levels come from fixed-bin-count discretization over in-mask values,
   level = min(ng, 1 + floor(ng*(v - vmin)/(vmax - vmin))), all 1 on a flat ROI;
-* GLCM: 13 unique distance-1 direction offsets, both voxels in-mask,
-  symmetrized and summed over directions, normalized to sum 1;
-* GLSZM zones and shape components use 26-connectivity;
-* GLDM dependence of a voxel = number of in-mask 26-neighbors within alpha
-  gray levels; emphasis weights use the center-inclusive count (dependence+1)
-  so a matrix with all mass at dependence 0 has small-dependence emphasis 1.
+* all texture matrices read one graph per mask: its 26-neighboring in-mask
+  voxel pairs, each unordered pair once (13 offsets, Mask3D.neighbour_pairs),
+  built once per lesion and shared by the shape features and every derived
+  image, which only gathers its own levels along the pairs;
+* GLCM: level pairs counted over those pairs, symmetrized, normalized to
+  sum 1;
+* GLSZM zones are the connected components of the equal-level pairs, shape
+  components those of all pairs (26-connectivity);
+* GLDM dependence of a voxel = number of its pairs within alpha gray levels;
+  emphasis weights use the center-inclusive count (dependence+1) so a matrix
+  with all mass at dependence 0 has small-dependence emphasis 1.
+
+Maximum3DDiameter is exact with no hull: a voxel halfway between two in-mask
+voxels along one of the 13 offsets is no vertex of the convex hull, so the
+farthest pair lies among the voxels that are no such midpoint, and only
+those enter the all-pairs distances.
 
 Degenerate inputs never produce NaN; the limiting values are pinned in
 GLCM_DEGENERATE below.
@@ -23,24 +33,18 @@ GLCM_DEGENERATE below.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BadLevelCount, EmptyMask
 from .filters import default_catalog, derive, filter_radius_voxels, wavelet_bands
 from .kinetics import select_peak_phase
-from .volume import (DceSeries, LesionRoi, Mask3D, Volume3D, bounding_box, masked_values,
-                     voxel_count, voxel_volume_mm3)
+from .volume import (NEIGHBOUR_OFFSETS, DceSeries, LesionRoi, Mask3D, Volume3D, bounding_box,
+                     masked_values, voxel_count, voxel_volume_mm3)
 
 DEFAULT_BIN_COUNT = 32
 
-_STRUCTURE_26 = np.ones((3, 3, 3), dtype=bool)
-
-# 13 direction offsets covering the distance-1 26-neighborhood up to sign.
-GLCM_OFFSETS = (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
-    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-)
+GLCM_OFFSETS = NEIGHBOUR_OFFSETS
 
 FIRST_ORDER_NAMES = (
     "Energy", "TotalEnergy", "Entropy", "Minimum", "Percentile10", "Percentile90",
@@ -98,12 +102,13 @@ GLDM_NAMES = (
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """In-mask gray levels (1..ng) plus the level grid used by texture matrices."""
+    """In-mask gray levels (1..ng), the level grid and the intensities they came from."""
 
     levels: np.ndarray       # int32, per in-mask voxel, x-fastest order
     ng: int
     mask: Mask3D
     grid: np.ndarray         # int32, full dims, 0 outside the mask
+    values: np.ndarray       # float64, the in-mask intensities, same order as levels
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def discretize(vol: Volume3D, mask: Mask3D, ng: int = DEFAULT_BIN_COUNT) -> Disc
     flat = np.zeros(int(np.prod(mask.dims)), dtype=np.int32)
     flat[mask.flat()] = levels
     grid = flat.reshape(mask.dims, order="F")
-    return DiscretizedRoi(levels=levels, ng=int(ng), mask=mask, grid=grid)
+    return DiscretizedRoi(levels=levels, ng=int(ng), mask=mask, grid=grid, values=values)
 
 
 # --- first order ----------------------------------------------------------------
@@ -150,17 +155,19 @@ def first_order_features(vol: Volume3D, mask: Mask3D,
                          ng: int = DEFAULT_BIN_COUNT) -> dict[str, float]:
     if voxel_count(mask) == 0:
         raise EmptyMask("first-order features need a nonempty mask")
-    return _first_order_from_values(masked_values(vol, mask), voxel_volume_mm3(vol), ng)
+    values = masked_values(vol, mask)
+    return _first_order_from_values(values, _discretize_values(values, ng),
+                                    voxel_volume_mm3(vol), ng)
 
 
-def _first_order_from_values(v: np.ndarray, voxel_mm3: float, ng: int) -> dict[str, float]:
+def _first_order_from_values(v: np.ndarray, levels: np.ndarray, voxel_mm3: float,
+                             ng: int) -> dict[str, float]:
     n = v.size
     mean = float(v.mean())
     centered = v - mean
     m2 = float((centered ** 2).mean())
     energy = float((v ** 2).sum())
     p10, p25, p50, p75, p90 = (float(q) for q in np.percentile(v, [10, 25, 50, 75, 90]))
-    levels = _discretize_values(v, ng)
     p = np.bincount(levels, minlength=ng + 1)[1:] / n
 
     robust = v[(v >= p10) & (v <= p90)]
@@ -216,9 +223,30 @@ def surface_area_mm2(mask: Mask3D, spacing) -> float:
     return total
 
 
+def _midpoints(m: np.ndarray) -> np.ndarray:
+    """In-mask voxels halfway between two in-mask voxels along an offset."""
+    mid = np.zeros_like(m)
+    for offset in NEIGHBOUR_OFFSETS:
+        before, at, after = (tuple(slice(1 + k * d, n - 1 + k * d) if d else slice(None)
+                                   for d, n in zip(offset, m.shape)) for k in (-1, 0, 1))
+        mid[at] |= m[before] & m[at] & m[after]
+    return mid
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component label of each of n voxels in the graph with edges (a, b)."""
+    graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """int64 matrix counting the (row, col) index pairs."""
+    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def _max_pairwise_distance(coords: np.ndarray) -> float:
-    # the farthest pair lies on the convex hull, hence among surface voxels;
-    # callers pass surface coordinates only
+    # the farthest pair is a pair of convex-hull vertices; callers pass the
+    # voxels that are no midpoint (_midpoints), a superset of those vertices
     if coords.shape[0] < 2:
         return 0.0
     best = 0.0
@@ -240,15 +268,8 @@ def shape_features(mask: Mask3D, spacing) -> dict[str, float]:
     radius = (3.0 * volume / (4.0 * np.pi)) ** (1.0 / 3.0)
 
     m = mask.data
-    interior = m.copy()
-    for axis in range(3):
-        padded = np.pad(m, [(1, 1) if a == axis else (0, 0) for a in range(3)],
-                        constant_values=False)
-        nax = m.shape[axis]
-        interior &= np.take(padded, range(0, nax), axis=axis)
-        interior &= np.take(padded, range(2, nax + 2), axis=axis)
-    surface_coords = np.argwhere(m & ~interior).astype(np.float64) * (sx, sy, sz)
-    max_diameter = _max_pairwise_distance(surface_coords)
+    candidates = np.argwhere(m & ~_midpoints(m)).astype(np.float64) * (sx, sy, sz)
+    max_diameter = _max_pairwise_distance(candidates)
 
     coords = np.argwhere(m).astype(np.float64) * (sx, sy, sz)
     if coords.shape[0] > 1:
@@ -265,7 +286,7 @@ def shape_features(mask: Mask3D, spacing) -> dict[str, float]:
         elongation = 1.0
         flatness = 1.0
 
-    _, n_components = ndimage.label(m, structure=_STRUCTURE_26)
+    n_components = int(_components(n, *mask.neighbour_pairs).max()) + 1
 
     return {
         "VoxelVolume": volume,
@@ -288,34 +309,11 @@ def shape_features(mask: Mask3D, spacing) -> dict[str, float]:
 # --- GLCM -------------------------------------------------------------------------
 
 
-def _shift_slices(offset):
-    slices_a, slices_b = [], []
-    for d in offset:
-        if d == 0:
-            slices_a.append(slice(None))
-            slices_b.append(slice(None))
-        elif d > 0:
-            slices_a.append(slice(0, -d))
-            slices_b.append(slice(d, None))
-        else:
-            slices_a.append(slice(-d, None))
-            slices_b.append(slice(None, d))
-    return tuple(slices_a), tuple(slices_b)
-
-
 def glcm_matrix(d: DiscretizedRoi, offsets=GLCM_OFFSETS) -> np.ndarray:
     """Symmetric co-occurrence probabilities, ng x ng; all zero when no pair exists."""
     ng = d.ng
-    grid = d.grid
-    counts = np.zeros(ng * ng, dtype=np.int64)
-    for offset in offsets:
-        sa, sb = _shift_slices(offset)
-        a = grid[sa].ravel()
-        b = grid[sb].ravel()
-        ok = (a > 0) & (b > 0)
-        if ok.any():
-            counts += np.bincount((a[ok] - 1) * ng + (b[ok] - 1), minlength=ng * ng)
-    counts = counts.reshape(ng, ng)
+    a, b = d.mask.neighbour_pairs if offsets is GLCM_OFFSETS else d.mask.pairs_along(offsets)
+    counts = _count_matrix(d.levels[a] - 1, d.levels[b] - 1, (ng, ng))
     sym = counts + counts.T
     total = sym.sum()
     if total == 0:
@@ -406,18 +404,13 @@ def glcm_features(p: np.ndarray) -> dict[str, float]:
 
 def glszm_matrix(d: DiscretizedRoi) -> np.ndarray:
     """Zone counts, rows = gray level 1..ng, cols = zone size 1..max size."""
-    zones: list[tuple[int, int]] = []
-    for level in np.unique(d.levels):
-        binary = d.grid == level
-        labeled, n_zones = ndimage.label(binary, structure=_STRUCTURE_26)
-        if n_zones:
-            sizes = np.bincount(labeled.ravel())[1:]
-            zones.extend((int(level), int(s)) for s in sizes)
-    smax = max(s for _, s in zones)
-    m = np.zeros((d.ng, smax), dtype=np.int64)
-    for level, size in zones:
-        m[level - 1, size - 1] += 1
-    return m
+    a, b = d.mask.neighbour_pairs
+    same = d.levels[a] == d.levels[b]
+    zone = _components(d.levels.size, a[same], b[same])
+    sizes = np.bincount(zone)
+    zone_level = np.zeros(sizes.size, dtype=np.int64)
+    zone_level[zone] = d.levels
+    return _count_matrix(zone_level - 1, sizes - 1, (d.ng, int(sizes.max())))
 
 
 def glszm_features(m: np.ndarray, n_voxels: int) -> dict[str, float]:
@@ -452,24 +445,11 @@ def glszm_features(m: np.ndarray, n_voxels: int) -> dict[str, float]:
 
 def gldm_matrix(d: DiscretizedRoi, alpha: int = 0) -> np.ndarray:
     """Voxel counts by (gray level, dependence); dependence columns start at 0."""
-    grid = d.grid
-    in_mask = grid > 0
-    padded = np.pad(grid, 1, constant_values=0)
-    nx, ny, nz = grid.shape
-    dependence = np.zeros(grid.shape, dtype=np.int32)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                neighbor = padded[1 + dx:1 + dx + nx, 1 + dy:1 + dy + ny, 1 + dz:1 + dz + nz]
-                dependence += in_mask & (neighbor > 0) & (np.abs(neighbor - grid) <= alpha)
-    levels = grid[in_mask]
-    deps = dependence[in_mask]
-    dmax = int(deps.max())
-    m = np.zeros((d.ng, dmax + 1), dtype=np.int64)
-    np.add.at(m, (levels - 1, deps), 1)
-    return m
+    a, b = d.mask.neighbour_pairs
+    near = np.abs(d.levels[a] - d.levels[b]) <= alpha
+    n = d.levels.size
+    deps = np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
+    return _count_matrix(d.levels - 1, deps, (d.ng, int(deps.max()) + 1))
 
 
 def gldm_features(m: np.ndarray) -> dict[str, float]:
@@ -536,10 +516,9 @@ def _crop_for_catalog(base: Volume3D, mask: Mask3D, catalog) -> tuple[Volume3D, 
 
 def _texture_block(derived: Volume3D, mask: Mask3D, ng: int) -> list[float]:
     values: list[float] = []
-    fo = _first_order_from_values(masked_values(derived, mask),
-                                  voxel_volume_mm3(derived), ng)
-    values += [fo[n] for n in FIRST_ORDER_NAMES]
     d = discretize(derived, mask, ng)
+    fo = _first_order_from_values(d.values, d.levels, voxel_volume_mm3(derived), ng)
+    values += [fo[n] for n in FIRST_ORDER_NAMES]
     glcm = glcm_features(glcm_matrix(d))
     values += [glcm[n] for n in GLCM_NAMES]
     glszm = glszm_features(glszm_matrix(d), voxel_count(mask))

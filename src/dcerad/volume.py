@@ -12,6 +12,7 @@ flagged read-only) so they can be shared across workers.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,13 @@ from .errors import DimensionMismatch, EmptyMask, NonFiniteIntensity
 BENIGN = "benign"
 MALIGNANT = "malignant"
 LABELS = (BENIGN, MALIGNANT)
+
+# 13 direction offsets covering the distance-1 26-neighborhood up to sign.
+NEIGHBOUR_OFFSETS = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -93,6 +101,30 @@ class Mask3D:
 
     def flat(self) -> np.ndarray:
         return self.data.ravel(order="F")
+
+    def pairs_along(self, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """In-mask voxel pairs (a, b) with b = a + offset, for each offset in
+        turn, as index arrays into the x-fastest in-mask voxel order."""
+        inside = self.flat()
+        index = np.full(inside.size, -1, dtype=np.int32)
+        index[inside] = np.arange(np.count_nonzero(inside), dtype=np.int32)
+        index = index.reshape(self.dims, order="F")
+        a_parts, b_parts = [], []
+        for offset in offsets:
+            a = index[tuple(slice(max(-d, 0), max(n - max(d, 0), 0))
+                            for d, n in zip(offset, self.dims))].ravel()
+            b = index[tuple(slice(max(d, 0), max(n - max(-d, 0), 0))
+                            for d, n in zip(offset, self.dims))].ravel()
+            keep = (a >= 0) & (b >= 0)
+            a_parts.append(a[keep])
+            b_parts.append(b[keep])
+        return np.concatenate(a_parts), np.concatenate(b_parts)
+
+    @cached_property
+    def neighbour_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every unordered pair of 26-neighboring in-mask voxels, once; built
+        on first use and shared by everything computed on this mask."""
+        return self.pairs_along(NEIGHBOUR_OFFSETS)
 
 
 @dataclass(frozen=True)

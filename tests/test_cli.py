@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcerad
 from dcerad import cli, dataio
 from dcerad.cli import main
 from dcerad.config import RunConfig, load_config
@@ -33,6 +38,17 @@ def signal_table(tmp_path, n=60, seed=21):
     path = tmp_path / "features.csv"
     dataio.write_feature_table(path, m)
     return path
+
+
+def test_import_loads_neither_ndimage_nor_spatial():
+    # every command pays the import at start-up, and neither module is used
+    src = str(Path(dcerad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, dcerad.cli; "
+            "print([m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- phantom ----------------------------------------------------------------------

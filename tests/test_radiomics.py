@@ -22,7 +22,8 @@ def roi_from_levels(level_grid, ng):
     grid = np.asarray(level_grid, dtype=np.int32)
     mask = make_mask(grid > 0)
     levels = grid.ravel(order="F")[grid.ravel(order="F") > 0]
-    return DiscretizedRoi(levels=levels.astype(np.int32), ng=ng, mask=mask, grid=grid)
+    return DiscretizedRoi(levels=levels.astype(np.int32), ng=ng, mask=mask, grid=grid,
+                          values=levels.astype(np.float64))
 
 
 def random_levels(rng, max_dim=5, ng=4):
@@ -412,6 +413,58 @@ def test_shape_components_26():
     assert f["ConnectedComponents"] == 2.0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_shape_components_match_ndimage_label(seed):
+    from scipy import ndimage
+    rng = np.random.default_rng(500 + seed)
+    dims = tuple(int(d) for d in rng.integers(3, 13, size=3))
+    data = rng.random(dims) < rng.uniform(0.05, 0.3)
+    data.flat[int(rng.integers(0, data.size))] = True
+    _, expected = ndimage.label(data, structure=np.ones((3, 3, 3)))
+    f = shape_features(make_mask(data), (1.0, 1.0, 1.0))
+    assert f["ConnectedComponents"] == float(expected)
+
+
+# --- Maximum3DDiameter against all pairs of in-mask voxels ------------------------------
+
+DIAMETER_SPACING = (0.7, 0.7, 1.5)
+
+
+def brute_force_diameter(data, spacing):
+    coords = np.argwhere(data).astype(np.float64) * spacing
+    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.max()))
+
+
+def diameter_masks():
+    blobs = np.zeros((14, 9, 7), dtype=bool)
+    blobs[1:4, 1:5, 1:4] = True
+    blobs[9:13, 4:8, 3:6] = True
+    ell = np.zeros((8, 9, 4), dtype=bool)
+    ell[1:3, 1:8, 1:3] = True
+    ell[1:7, 1:3, 1:3] = True
+    cee = np.zeros((9, 9, 3), dtype=bool)
+    cee[1:8, 1:3, 1] = True
+    cee[1:3, 1:8, 1] = True
+    cee[1:8, 6:8, 1] = True
+    plane = np.zeros((7, 8, 5), dtype=bool)
+    plane[1:6, 1:7, 2] = True           # one voxel thick: every voxel coplanar
+    line = np.zeros((3, 11, 3), dtype=bool)
+    line[1, 1:10, 1] = True
+    single = np.zeros((3, 3, 3), dtype=bool)
+    single[1, 1, 1] = True
+    sparse = np.random.default_rng(41).random((12, 10, 9)) < 0.08
+    return {"two blobs": blobs, "L shape": ell, "C shape": cee, "plane": plane,
+            "line": line, "single voxel": single, "sparse random": sparse}
+
+
+@pytest.mark.parametrize("name", sorted(diameter_masks()))
+def test_maximum_diameter_equals_all_pairs(name):
+    data = diameter_masks()[name]
+    f = shape_features(make_mask(data), DIAMETER_SPACING)
+    assert f["Maximum3DDiameter"] == brute_force_diameter(data, DIAMETER_SPACING)
+
+
 # --- GLCM ----------------------------------------------------------------------------
 
 
@@ -591,6 +644,37 @@ def test_gldm_matrix_matches_neighbor_count(seed):
     d = random_levels(rng)
     assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(d.grid, d.ng, 0))
     assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(d.grid, d.ng, 1))
+
+
+def random_roi(rng, ng):
+    """Level grid of up to 12^3 voxels: a few boxes with holes punched in them
+    plus scattered lone voxels (several components), levels drawn from
+    smoothed noise so zones grow."""
+    dims = tuple(int(d) for d in rng.integers(8, 13, size=3))
+    inside = np.zeros(dims, dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        lo = [int(rng.integers(0, n // 2)) for n in dims]
+        hi = [int(rng.integers(l + 2, n + 1)) for l, n in zip(lo, dims)]
+        inside[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    inside &= rng.random(dims) > 0.15
+    inside |= rng.random(dims) < 0.02
+    field = rng.random(dims)
+    for axis in range(3):
+        field = field + np.roll(field, 1, axis=axis)
+    span = field.max() - field.min()
+    levels = np.minimum(1 + np.floor(ng * (field - field.min()) / span), ng).astype(np.int32)
+    return roi_from_levels(np.where(inside, levels, 0), ng)
+
+
+@pytest.mark.parametrize("ng", [2, 32])
+@pytest.mark.parametrize("seed", range(4))
+def test_texture_matrices_match_oracles_at_size(seed, ng):
+    from dcerad.radiomics import GLCM_OFFSETS
+    d = random_roi(np.random.default_rng(400 + seed), ng)
+    assert np.array_equal(glcm_matrix(d), glcm_oracle(d.grid, ng, GLCM_OFFSETS))
+    assert np.array_equal(glszm_matrix(d), glszm_oracle(d.grid, ng))
+    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(d.grid, ng, 0))
+    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(d.grid, ng, 1))
 
 
 def test_gldm_degenerate_features():
