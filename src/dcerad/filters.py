@@ -55,29 +55,35 @@ def default_catalog(log_sigmas_mm=DEFAULT_LOG_SIGMAS_MM) -> tuple[DerivedImageId
     return tuple(ids)
 
 
+def _along(axis: int, start, stop) -> tuple[slice, ...]:
+    """Basic-slice index of start:stop along one axis of a 3D array."""
+    return tuple(slice(start, stop) if a == axis else slice(None) for a in range(3))
+
+
 def _haar_pass(data: np.ndarray, axis: int, high: bool) -> np.ndarray:
     """One 2-tap pass along axis; mirror extension supplies the final sample."""
-    shifted = np.concatenate(
-        [np.take(data, range(1, data.shape[axis]), axis=axis),
-         np.take(data, [data.shape[axis] - 1], axis=axis)],
-        axis=axis,
-    )
-    return 0.5 * data - 0.5 * shifted if high else 0.5 * data + 0.5 * shifted
+    half = 0.5 * data
+    shifted = np.concatenate([half[_along(axis, 1, None)], half[_along(axis, -1, None)]],
+                             axis=axis)
+    return half - shifted if high else half + shifted
+
+
+def _haar_bands(vol: Volume3D, bands) -> dict[str, Volume3D]:
+    """The named one-level bands.  Bands that share their leading letters
+    share those passes: all eight take 2 x, 4 y and 8 z passes, one takes 3."""
+    if min(vol.dims) < 2:
+        raise VolumeTooSmall(f"wavelet transform needs every dim >= 2, got {vol.dims}")
+    wanted = {b[:n] for b in bands for n in (1, 2, 3)}
+    partial = {"": vol.data}
+    for axis in range(3):
+        partial = {p + c: _haar_pass(partial[p], axis, c == "H")
+                   for p in partial for c in "LH" if p + c in wanted}
+    return {b: Volume3D(data, vol.spacing) for b, data in partial.items()}
 
 
 def wavelet_bands(vol: Volume3D) -> dict[str, Volume3D]:
     """All eight one-level bands, keyed by band name, same dims as the input."""
-    if min(vol.dims) < 2:
-        raise VolumeTooSmall(f"wavelet transform needs every dim >= 2, got {vol.dims}")
-    out = {}
-    # share the x passes, then y, then z
-    x_pass = {c: _haar_pass(vol.data, 0, c == "H") for c in "LH"}
-    for cx in "LH":
-        y_pass = {c: _haar_pass(x_pass[cx], 1, c == "H") for c in "LH"}
-        for cy in "LH":
-            for cz in "LH":
-                out[cx + cy + cz] = Volume3D(_haar_pass(y_pass[cy], 2, cz == "H"), vol.spacing)
-    return out
+    return _haar_bands(vol, WAVELET_BANDS)
 
 
 def _gaussian_taps(sigma_mm: float, spacing: float) -> np.ndarray:
@@ -96,7 +102,7 @@ def _conv1d_symmetric(data: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarr
     out = np.zeros_like(data)
     n = data.shape[axis]
     for j, w in enumerate(taps):
-        out += w * np.take(padded, range(j, j + n), axis=axis)
+        out += w * padded[_along(axis, j, j + n)]
     return out
 
 
@@ -107,8 +113,8 @@ def _laplacian(data: np.ndarray, spacing) -> np.ndarray:
         padded = np.pad(data, [(1, 1) if a == axis else (0, 0) for a in range(3)],
                         mode="symmetric")
         n = data.shape[axis]
-        fwd = np.take(padded, range(2, n + 2), axis=axis)
-        bwd = np.take(padded, range(0, n), axis=axis)
+        fwd = padded[_along(axis, 2, n + 2)]
+        bwd = padded[_along(axis, 0, n)]
         out += (fwd - 2.0 * data + bwd) / spacing[axis] ** 2
     return out
 
@@ -137,5 +143,5 @@ def derive(vol: Volume3D, image_id: DerivedImageId) -> Volume3D:
     if image_id.kind == "original":
         return vol
     if image_id.kind == "wavelet":
-        return wavelet_bands(vol)[image_id.band]
+        return _haar_bands(vol, (image_id.band,))[image_id.band]
     return log_filter(vol, image_id.sigma_mm)

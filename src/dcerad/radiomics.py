@@ -9,17 +9,33 @@ Texture conventions:
 
 * gray levels come from fixed-bin-count discretization over in-mask values,
   level = min(ng, 1 + floor(ng*(v - vmin)/(vmax - vmin))), all 1 on a flat ROI;
-* all texture matrices read one graph per mask: its 26-neighboring in-mask
+* all texture matrices read one graph per lesion: its 26-neighboring in-mask
   voxel pairs, each unordered pair once (13 offsets, Mask3D.neighbour_pairs),
-  built once per lesion and shared by the shape features and every derived
-  image, which only gathers its own levels along the pairs;
+  sorted by their first voxel a.  The shape features build it on the crop
+  mask; the mask cut to its bounding box has the same in-mask voxel order and
+  shares it (Mask3D.cut);
+* each derived image gathers its levels along the pairs once
+  (DiscretizedRoi.pair_levels) and keeps the equal-level pairs
+  (DiscretizedRoi.equal_pairs), which GLSZM and GLDM share;
 * GLCM: level pairs counted over those pairs, symmetrized, normalized to
   sum 1;
 * GLSZM zones are the connected components of the equal-level pairs, shape
-  components those of all pairs (26-connectivity);
-* GLDM dependence of a voxel = number of its pairs within alpha gray levels;
+  components those of all pairs (26-connectivity); pairs sorted by a are the
+  rows of the graph's CSR matrix as they stand, so no sort is needed;
+* GLDM dependence of a voxel = number of its pairs within alpha gray levels
+  (alpha = 0: the equal-level pairs);
   emphasis weights use the center-inclusive count (dependence+1) so a matrix
   with all mass at dependence 0 has small-dependence emphasis 1.
+
+Texture reads in-mask voxels only, so each derived image is filtered over
+the mask's bounding box widened by that image's own dependency radius
+(filter_radius_voxels: 0 for the original, 1 for the wavelet bands, which are
+computed once, and per sigma for LoG), clamped to the crop, then cut to the
+box.  Mirror extension still happens only at real volume faces, so every
+in-mask value comes from the same float operations as a full-volume filter.
+The crop itself (_crop_for_catalog) stays: it fixes the coordinate frame of
+the shape features, whose diameter and axis lengths move by an ulp in
+another frame.
 
 Maximum3DDiameter is exact with no hull: a voxel halfway between two in-mask
 voxels along one of the 13 offsets is no vertex of the convex hull, so the
@@ -31,9 +47,10 @@ GLCM_DEGENERATE below.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import BadLevelCount, EmptyMask
@@ -102,13 +119,25 @@ GLDM_NAMES = (
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """In-mask gray levels (1..ng), the level grid and the intensities they came from."""
+    """In-mask gray levels (1..ng) and the intensities they came from."""
 
     levels: np.ndarray       # int32, per in-mask voxel, x-fastest order
     ng: int
     mask: Mask3D
-    grid: np.ndarray         # int32, full dims, 0 outside the mask
     values: np.ndarray       # float64, the in-mask intensities, same order as levels
+
+    @cached_property
+    def pair_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The levels at both ends of each of the mask's neighbour pairs,
+        gathered once and shared by GLCM, GLSZM and GLDM."""
+        a, b = self.mask.neighbour_pairs
+        return self.levels.take(a), self.levels.take(b)
+
+    @cached_property
+    def equal_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour pairs whose two voxels share a level, still sorted by a."""
+        la, lb = self.pair_levels
+        return _pairs_where(self.mask, la == lb)
 
 
 @dataclass(frozen=True)
@@ -118,6 +147,12 @@ class RadiomicFeatureSet:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, (float(v) for v in self.values)))
+
+
+def _pairs_where(mask: Mask3D, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask's neighbour pairs where keep is true, still sorted by a."""
+    at = np.flatnonzero(keep)
+    return tuple(ends.take(at) for ends in mask.neighbour_pairs)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -141,11 +176,8 @@ def discretize(vol: Volume3D, mask: Mask3D, ng: int = DEFAULT_BIN_COUNT) -> Disc
     if voxel_count(mask) == 0:
         raise EmptyMask("discretize needs a nonempty mask")
     values = masked_values(vol, mask)
-    levels = _discretize_values(values, ng)
-    flat = np.zeros(int(np.prod(mask.dims)), dtype=np.int32)
-    flat[mask.flat()] = levels
-    grid = flat.reshape(mask.dims, order="F")
-    return DiscretizedRoi(levels=levels, ng=int(ng), mask=mask, grid=grid, values=values)
+    return DiscretizedRoi(levels=_discretize_values(values, ng), ng=int(ng), mask=mask,
+                          values=values)
 
 
 # --- first order ----------------------------------------------------------------
@@ -234,14 +266,21 @@ def _midpoints(m: np.ndarray) -> np.ndarray:
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component label of each of n voxels in the graph with edges (a, b)."""
-    graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))
+    """Component label of each of n voxels in the graph with edges (a, b),
+    a sorted: the edges are the graph's CSR rows as they stand."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    # float64 weights, which connected_components would otherwise copy to
+    graph = csr_array((np.ones(a.size), b, indptr), shape=(n, n))
     return connected_components(graph, directed=False)[1]
 
 
 def _count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """int64 matrix counting the (row, col) index pairs."""
-    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+    code = rows.astype(np.intp)         # the one array the count needs, built in place
+    code *= shape[1]
+    code += cols
+    return np.bincount(code, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _max_pairwise_distance(coords: np.ndarray) -> float:
@@ -312,8 +351,12 @@ def shape_features(mask: Mask3D, spacing) -> dict[str, float]:
 def glcm_matrix(d: DiscretizedRoi, offsets=GLCM_OFFSETS) -> np.ndarray:
     """Symmetric co-occurrence probabilities, ng x ng; all zero when no pair exists."""
     ng = d.ng
-    a, b = d.mask.neighbour_pairs if offsets is GLCM_OFFSETS else d.mask.pairs_along(offsets)
-    counts = _count_matrix(d.levels[a] - 1, d.levels[b] - 1, (ng, ng))
+    if offsets is GLCM_OFFSETS:
+        la, lb = d.pair_levels
+    else:
+        a, b = d.mask.pairs_along(offsets)
+        la, lb = d.levels[a], d.levels[b]
+    counts = _count_matrix(la, lb, (ng + 1, ng + 1))[1:, 1:]       # levels start at 1
     sym = counts + counts.T
     total = sym.sum()
     if total == 0:
@@ -404,9 +447,7 @@ def glcm_features(p: np.ndarray) -> dict[str, float]:
 
 def glszm_matrix(d: DiscretizedRoi) -> np.ndarray:
     """Zone counts, rows = gray level 1..ng, cols = zone size 1..max size."""
-    a, b = d.mask.neighbour_pairs
-    same = d.levels[a] == d.levels[b]
-    zone = _components(d.levels.size, a[same], b[same])
+    zone = _components(d.levels.size, *d.equal_pairs)
     sizes = np.bincount(zone)
     zone_level = np.zeros(sizes.size, dtype=np.int64)
     zone_level[zone] = d.levels
@@ -445,10 +486,13 @@ def glszm_features(m: np.ndarray, n_voxels: int) -> dict[str, float]:
 
 def gldm_matrix(d: DiscretizedRoi, alpha: int = 0) -> np.ndarray:
     """Voxel counts by (gray level, dependence); dependence columns start at 0."""
-    a, b = d.mask.neighbour_pairs
-    near = np.abs(d.levels[a] - d.levels[b]) <= alpha
+    if alpha == 0:
+        a, b = d.equal_pairs           # |difference| <= 0: equal levels
+    else:
+        la, lb = d.pair_levels
+        a, b = _pairs_where(d.mask, np.abs(la - lb) <= alpha)
     n = d.levels.size
-    deps = np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
+    deps = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     return _count_matrix(d.levels - 1, deps, (d.ng, int(deps.max()) + 1))
 
 
@@ -495,6 +539,15 @@ def radiomic_feature_names(catalog=None) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _window(box, radius, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """The box ((x0,x1),(y0,y1),(z0,z1)) widened by radius, clamped to dims,
+    and the box's own slices within that window."""
+    lo = [max(b0 - r, 0) for (b0, _), r in zip(box, radius)]
+    hi = [min(b1 + r + 1, n) for (_, b1), r, n in zip(box, radius, dims)]
+    return (tuple(slice(l, h) for l, h in zip(lo, hi)),
+            tuple(slice(b0 - l, b1 + 1 - l) for (b0, b1), l in zip(box, lo)))
+
+
 def _crop_for_catalog(base: Volume3D, mask: Mask3D, catalog) -> tuple[Volume3D, Mask3D]:
     """Crop to the mask bounding box plus the filter dependency margin.
 
@@ -505,11 +558,7 @@ def _crop_for_catalog(base: Volume3D, mask: Mask3D, catalog) -> tuple[Volume3D, 
     margins = np.zeros(3, dtype=int)
     for image_id in catalog:
         margins = np.maximum(margins, filter_radius_voxels(image_id, base.spacing))
-    (x0, x1), (y0, y1), (z0, z1) = bounding_box(mask)
-    lo = np.maximum([x0 - margins[0], y0 - margins[1], z0 - margins[2]], 0)
-    hi = np.minimum([x1 + margins[0], y1 + margins[1], z1 + margins[2]],
-                    np.array(base.dims) - 1)
-    window = (slice(lo[0], hi[0] + 1), slice(lo[1], hi[1] + 1), slice(lo[2], hi[2] + 1))
+    window, _ = _window(bounding_box(mask), margins, base.dims)
     return (Volume3D(base.data[window].copy(), base.spacing),
             Mask3D(mask.data[window].copy()))
 
@@ -544,15 +593,21 @@ def extract_radiomic_features(series: DceSeries, roi: LesionRoi, catalog=None,
     shape = shape_features(mask, base.spacing)
     values += [shape[n] for n in SHAPE_NAMES]
 
+    # texture reads in-mask voxels only: each image is filtered over the box
+    # widened by its own radius, then cut to the box, where inner shares the
+    # neighbour pairs the shape features built
+    box = bounding_box(mask)
+    inner = mask.cut(tuple(slice(lo, hi + 1) for lo, hi in box))
     bands = None
     for image_id in catalog:
+        window, within = _window(box, filter_radius_voxels(image_id, base.spacing), base.dims)
         if image_id.kind == "wavelet":
             if bands is None:
-                bands = wavelet_bands(base)
+                bands = wavelet_bands(Volume3D(base.data[window], base.spacing))
             derived = bands[image_id.band]
         else:
-            derived = derive(base, image_id)
-        values += _texture_block(derived, mask, ng)
+            derived = derive(Volume3D(base.data[window], base.spacing), image_id)
+        values += _texture_block(Volume3D(derived.data[within], base.spacing), inner, ng)
 
     return RadiomicFeatureSet(names=radiomic_feature_names(catalog),
                               values=np.array(values, dtype=np.float64))

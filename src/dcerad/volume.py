@@ -103,28 +103,39 @@ class Mask3D:
         return self.data.ravel(order="F")
 
     def pairs_along(self, offsets) -> tuple[np.ndarray, np.ndarray]:
-        """In-mask voxel pairs (a, b) with b = a + offset, for each offset in
-        turn, as index arrays into the x-fastest in-mask voxel order."""
-        inside = self.flat()
-        index = np.full(inside.size, -1, dtype=np.int32)
-        index[inside] = np.arange(np.count_nonzero(inside), dtype=np.int32)
-        index = index.reshape(self.dims, order="F")
-        a_parts, b_parts = [], []
-        for offset in offsets:
-            a = index[tuple(slice(max(-d, 0), max(n - max(d, 0), 0))
-                            for d, n in zip(offset, self.dims))].ravel()
-            b = index[tuple(slice(max(d, 0), max(n - max(-d, 0), 0))
-                            for d, n in zip(offset, self.dims))].ravel()
-            keep = (a >= 0) & (b >= 0)
-            a_parts.append(a[keep])
-            b_parts.append(b[keep])
-        return np.concatenate(a_parts), np.concatenate(b_parts)
+        """In-mask voxel pairs (a, b) with b = a + offset, as index arrays
+        into the x-fastest in-mask voxel order.  The pairs come sorted by a,
+        and for each a by offset."""
+        p = max(1, int(np.abs(offsets).max(initial=0)))
+        index = np.full(tuple(n + 2 * p for n in self.dims), -1, dtype=np.int32, order="F")
+        index[p:-p, p:-p, p:-p][self.data] = -2
+        flat = index.ravel(order="F")          # a view: p pad voxels on every side
+        at = np.flatnonzero(flat == -2)
+        flat[at] = np.arange(at.size, dtype=np.int32)
+        shifts = np.dot(offsets, (1, index.shape[0], index.shape[0] * index.shape[1]))
+        # one row per in-mask voxel: its neighbour's in-mask index along each
+        # offset, or -1; the kept entries, read row by row, come sorted by a
+        table = flat[at[:, None] + shifts]
+        keep = table >= 0
+        a = np.broadcast_to(np.arange(at.size, dtype=np.int32)[:, None], keep.shape)[keep]
+        return a, table[keep]
 
     @cached_property
     def neighbour_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every unordered pair of 26-neighboring in-mask voxels, once; built
         on first use and shared by everything computed on this mask."""
         return self.pairs_along(NEIGHBOUR_OFFSETS)
+
+    def cut(self, window: tuple[slice, slice, slice]) -> "Mask3D":
+        """This mask cut to a window that holds all its voxels.  The in-mask
+        voxel order is the same, so the cut shares the neighbour pairs if they
+        are built."""
+        cut = Mask3D(self.data[window])
+        if voxel_count(cut) != voxel_count(self):
+            raise ValueError(f"window {window} drops in-mask voxels")
+        if "neighbour_pairs" in vars(self):
+            vars(cut)["neighbour_pairs"] = self.neighbour_pairs
+        return cut
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,15 @@ def test_derive_wavelet_lll_constant():
     assert np.allclose(out.data, 2.0)
 
 
+@pytest.mark.parametrize("band", WAVELET_BANDS)
+def test_derive_wavelet_band_equals_all_bands(band):
+    rng = np.random.default_rng(41)
+    vol = make_volume(rng.normal(size=(5, 6, 7)), (0.9, 1.1, 2.0))
+    out = derive(vol, DerivedImageId("wavelet", band=band))
+    assert np.array_equal(out.data, wavelet_bands(vol)[band].data)
+    assert out.spacing == vol.spacing
+
+
 def test_derive_log_constant():
     vol = make_volume(np.full((4, 4, 4), 9.0))
     out = derive(vol, DerivedImageId("log", sigma_mm=1.0))

@@ -17,13 +17,20 @@ from dcerad.volume import voxel_count
 from conftest import make_mask, make_volume, roi_for, uniform_series
 
 
-def roi_from_levels(level_grid, ng):
+def roi_from_levels(grid, ng):
     """DiscretizedRoi straight from an integer level grid (0 = outside)."""
-    grid = np.asarray(level_grid, dtype=np.int32)
+    grid = np.asarray(grid, dtype=np.int32)
     mask = make_mask(grid > 0)
     levels = grid.ravel(order="F")[grid.ravel(order="F") > 0]
-    return DiscretizedRoi(levels=levels.astype(np.int32), ng=ng, mask=mask, grid=grid,
+    return DiscretizedRoi(levels=levels.astype(np.int32), ng=ng, mask=mask,
                           values=levels.astype(np.float64))
+
+
+def level_grid(d):
+    """The level grid of a DiscretizedRoi (0 = outside), for the oracles."""
+    flat = np.zeros(int(np.prod(d.mask.dims)), dtype=np.int32)
+    flat[d.mask.flat()] = d.levels
+    return flat.reshape(d.mask.dims, order="F")
 
 
 def random_levels(rng, max_dim=5, ng=4):
@@ -531,7 +538,7 @@ def test_glcm_matrix_matches_pair_enumeration(seed):
     d = random_levels(rng)
     from dcerad.radiomics import GLCM_OFFSETS
     ours = glcm_matrix(d)
-    ref = glcm_oracle(d.grid, d.ng, GLCM_OFFSETS)
+    ref = glcm_oracle(level_grid(d), d.ng, GLCM_OFFSETS)
     assert np.allclose(ours, ref, atol=1e-15)
     if ours.sum():
         assert ours.sum() == pytest.approx(1.0, abs=1e-12)
@@ -587,7 +594,7 @@ def test_glszm_checkerboard_matches_flood_fill():
 def test_glszm_matrix_matches_flood_fill(seed):
     rng = np.random.default_rng(200 + seed)
     d = random_levels(rng)
-    assert np.array_equal(glszm_matrix(d), glszm_oracle(d.grid, d.ng))
+    assert np.array_equal(glszm_matrix(d), glszm_oracle(level_grid(d), d.ng))
 
 
 def test_glszm_single_zone_features():
@@ -642,8 +649,8 @@ def test_gldm_constant_quad():
 def test_gldm_matrix_matches_neighbor_count(seed):
     rng = np.random.default_rng(300 + seed)
     d = random_levels(rng)
-    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(d.grid, d.ng, 0))
-    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(d.grid, d.ng, 1))
+    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(level_grid(d), d.ng, 0))
+    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(level_grid(d), d.ng, 1))
 
 
 def random_roi(rng, ng):
@@ -671,10 +678,10 @@ def random_roi(rng, ng):
 def test_texture_matrices_match_oracles_at_size(seed, ng):
     from dcerad.radiomics import GLCM_OFFSETS
     d = random_roi(np.random.default_rng(400 + seed), ng)
-    assert np.array_equal(glcm_matrix(d), glcm_oracle(d.grid, ng, GLCM_OFFSETS))
-    assert np.array_equal(glszm_matrix(d), glszm_oracle(d.grid, ng))
-    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(d.grid, ng, 0))
-    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(d.grid, ng, 1))
+    assert np.array_equal(glcm_matrix(d), glcm_oracle(level_grid(d), ng, GLCM_OFFSETS))
+    assert np.array_equal(glszm_matrix(d), glszm_oracle(level_grid(d), ng))
+    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(level_grid(d), ng, 0))
+    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(level_grid(d), ng, 1))
 
 
 def test_gldm_degenerate_features():
@@ -750,6 +757,76 @@ def test_extract_crop_equivalence():
     b = extract_radiomic_features(series, roi, crop=False)
     assert a.names == b.names
     np.testing.assert_array_equal(a.values, b.values)
+
+
+BOX_SPACING = (0.93, 0.93, 0.5)
+BOX_DIMS = (22, 20, 40)
+
+
+def box_masks():
+    """Blobs touching each of the six volume faces, and single voxels."""
+    masks = {}
+    centre = [n // 2 for n in BOX_DIMS]
+    for axis in range(3):
+        for side, at in (("lo", 0), ("hi", BOX_DIMS[axis] - 1)):
+            data = np.zeros(BOX_DIMS, dtype=bool)
+            box = [slice(c - 2, c + 3) for c in centre]
+            box[axis] = slice(at, at + 1) if side == "lo" else slice(at - 2, at + 1)
+            data[tuple(box)] = True
+            data[tuple(c if a != axis else box[axis].start for a, c in enumerate(centre))] = False
+            masks[f"face-{'xyz'[axis]}-{side}"] = data
+    for name, voxel in (("voxel-inside", tuple(centre)), ("voxel-corner", (0, 0, 0))):
+        data = np.zeros(BOX_DIMS, dtype=bool)
+        data[voxel] = True
+        masks[name] = data
+    return masks
+
+
+@pytest.mark.parametrize("name", sorted(box_masks()))
+def test_box_windows_match_full_volume_filters(name, monkeypatch):
+    # the images extraction discretizes, filtered over each image's own box
+    # window, must hold the full-volume filter's values at every in-mask voxel
+    from dcerad import radiomics
+    from dcerad.filters import default_catalog, derive
+    from dcerad.volume import DceSeries, masked_values
+    rng = np.random.default_rng(77)
+    phases = tuple(make_volume(rng.uniform(50, 250, BOX_DIMS), BOX_SPACING)
+                   for _ in range(6))
+    mask = make_mask(box_masks()[name])
+    seen = []
+    discretize_ = radiomics.discretize
+
+    def recording(vol, m, ng):
+        seen.append(masked_values(vol, m))
+        return discretize_(vol, m, ng)
+
+    monkeypatch.setattr(radiomics, "discretize", recording)
+    series = DceSeries(phases)
+    extract_radiomic_features(series, roi_for(mask))
+    base = series.phases[radiomics.select_peak_phase(series, mask)]
+    catalog = default_catalog()
+    assert len(seen) == len(catalog)
+    for image_id, got in zip(catalog, seen):
+        assert np.array_equal(got, masked_values(derive(base, image_id), mask)), image_id.name
+
+
+def test_extract_builds_the_pair_graph_once(monkeypatch):
+    from dcerad.volume import DceSeries, Mask3D
+    calls = []
+    pairs_along = Mask3D.pairs_along
+
+    def counting(self, offsets):
+        calls.append(offsets)
+        return pairs_along(self, offsets)
+
+    monkeypatch.setattr(Mask3D, "pairs_along", counting)
+    rng = np.random.default_rng(5)
+    dims = (16, 14, 12)
+    series = DceSeries(tuple(make_volume(rng.uniform(50, 250, dims)) for _ in range(6)))
+    data = np.zeros(dims, dtype=bool)
+    data[4:11, 3:10, 3:9] = rng.random((7, 7, 6)) < 0.8
+    extract_radiomic_features(series, roi_for(make_mask(data)))
+    assert len(calls) == 1
 
 
 def test_extract_shift_invariance_of_levels():

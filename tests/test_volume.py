@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcerad.errors import DimensionMismatch, EmptyMask, NonFiniteIntensity
-from dcerad.volume import (DceSeries, LesionRoi, Volume3D, bounding_box,
+from dcerad.volume import (NEIGHBOUR_OFFSETS, DceSeries, LesionRoi, Volume3D, bounding_box,
                            masked_values, voxel_count, voxel_volume_mm3)
 
 from conftest import make_mask, make_volume
@@ -157,3 +157,40 @@ def test_lesion_roi_rejects_unknown_label():
     mask = make_mask(np.ones((2, 2, 2)))
     with pytest.raises(DimensionMismatch):
         LesionRoi("p", "l", mask, "suspicious")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairs_along_each_neighbour_pair_once_sorted(seed):
+    rng = np.random.default_rng(300 + seed)
+    dims = tuple(int(d) for d in rng.integers(2, 10, size=3))
+    data = rng.random(dims) < rng.uniform(0.3, 0.9)        # holes throughout
+    data.flat[int(rng.integers(0, data.size))] = True
+    a, b = make_mask(data).pairs_along(NEIGHBOUR_OFFSETS)
+    assert np.all(np.diff(a) >= 0)
+    coords = [tuple(c) for c in np.argwhere(data.transpose(2, 1, 0))[:, ::-1]]
+    index = {c: i for i, c in enumerate(coords)}        # x-fastest in-mask order
+    expected = set()
+    for c, i in index.items():
+        for step in np.ndindex(3, 3, 3):
+            j = index.get(tuple(int(u) + int(s) - 1 for u, s in zip(c, step)))
+            if j is not None and j != i:
+                expected.add((min(i, j), max(i, j)))
+    got = [(min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist())]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairs_along_distance_two_matches_brute_force(seed):
+    rng = np.random.default_rng(310 + seed)
+    dims = tuple(int(d) for d in rng.integers(2, 8, size=3))
+    data = rng.random(dims) < rng.uniform(0.3, 0.9)
+    data.flat[int(rng.integers(0, data.size))] = True
+    offsets = ((2, 0, 0), (0, -2, 1), (2, 2, -2), (-1, 0, 2))
+    a, b = make_mask(data).pairs_along(offsets)
+    assert np.all(np.diff(a) >= 0)
+    coords = [tuple(c) for c in np.argwhere(data.transpose(2, 1, 0))[:, ::-1]]
+    index = {c: i for i, c in enumerate(coords)}        # x-fastest in-mask order
+    expected = [(i, index[n]) for c, i in index.items() for off in offsets
+                if (n := tuple(int(u) + v for u, v in zip(c, off))) in index]
+    assert list(zip(a.tolist(), b.tolist())) == expected
