@@ -2,7 +2,7 @@
 classification in six-phase breast DCE-MRI."""
 
 from .config import RunConfig
-from .evaluation import EvalReport, confusion_metrics, cross_validate, make_folds, roc_auc
+from .evaluation import EvalReport, confusion_metrics, cross_validate, roc_auc
 from .filters import DerivedImageId, default_catalog, derive, log_filter, wavelet_bands
 from .kinetics import (DYNAMIC_FEATURE_NAMES, DynamicFeatures, RateMap,
                        extract_dynamic_features)
@@ -16,9 +16,9 @@ from .volume import DceSeries, LesionRoi, Mask3D, Volume3D
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig", "EvalReport", "confusion_metrics", "cross_validate", "make_folds",
-    "roc_auc", "DerivedImageId", "default_catalog", "derive", "log_filter",
-    "wavelet_bands", "DYNAMIC_FEATURE_NAMES", "DynamicFeatures", "RateMap",
+    "RunConfig", "EvalReport", "confusion_metrics", "cross_validate", "roc_auc",
+    "DerivedImageId", "default_catalog", "derive", "log_filter", "wavelet_bands",
+    "DYNAMIC_FEATURE_NAMES", "DynamicFeatures", "RateMap",
     "extract_dynamic_features", "LdaModel", "lda_fit", "lda_predict", "lda_score",
     "PhantomSpec", "generate_case", "generate_corpus", "kinetic_curve",
     "RadiomicFeatureSet", "discretize", "extract_radiomic_features",

@@ -23,8 +23,6 @@ from .kinetics import DYNAMIC_FEATURE_NAMES, extract_dynamic_features
 from .radiomics import extract_radiomic_features, radiomic_feature_names
 from .selection import FeatureMatrix
 
-_SUMMARY_ORDER = ("dynamic", "radiomic", "combined")
-
 
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
@@ -85,23 +83,25 @@ def extract_features(manifest_path, config: RunConfig, workers: int = 1,
     )
 
 
-def run_crossval(features: FeatureMatrix, config: RunConfig) -> evaluation.EvalReport:
+def run_crossval(features: FeatureMatrix, config: RunConfig,
+                 feature_sets) -> dict[str, evaluation.EvalReport]:
+    """One crossval pass that scores each of feature_sets with the run's settings."""
     return evaluation.cross_validate(
         features,
-        feature_set=config.feature_set,
+        feature_sets,
         cv_folds=config.cv_folds,
         seed=config.seed,
         grid_size=config.lasso_grid_size,
         inner_folds=config.lasso_cv_folds,
         lda_ridge=config.lda_ridge,
-        config_fingerprint=evaluation.config_fingerprint(config.to_dict()),
     )
 
 
 def _write_report(out_prefix, report, config: RunConfig):
-    payload = report.to_dict()
-    payload["config"] = config.to_dict()
-    dataio.write_json_document(f"{out_prefix}.json", payload)
+    """Write <out_prefix>.json, the report with the run's configuration set to
+    the report's feature set, and <out_prefix>_roc.csv."""
+    config = config.replace(feature_set=report.feature_set)
+    dataio.write_json_document(f"{out_prefix}.json", report.to_dict(config.to_dict()))
     dataio.write_roc_csv(f"{out_prefix}_roc.csv", report.roc_points)
 
 
@@ -137,7 +137,7 @@ def cmd_extract(args) -> int:
 def cmd_crossval(args) -> int:
     config = _effective_config(args)
     features = dataio.read_feature_table(args.features)
-    report = run_crossval(features, config)
+    report = run_crossval(features, config, (config.feature_set,))[config.feature_set]
     _write_report(args.out, report, config)
     _print_metrics(report)
     return 0
@@ -155,10 +155,9 @@ def cmd_pipeline(args) -> int:
     summary_lines = ["feature_set,accuracy,recall,precision,f1,auc"]
     print(f"{'feature set':<12} {'accuracy':>9} {'recall':>9} {'precision':>9} "
           f"{'f1':>9} {'auc':>9}")
-    for feature_set in _SUMMARY_ORDER:
-        fs_config = config.replace(feature_set=feature_set)
-        report = run_crossval(features, fs_config)
-        _write_report(out_dir / f"report_{feature_set}", report, fs_config)
+    for feature_set, report in run_crossval(features, config,
+                                            tuple(evaluation.FEATURE_SETS)).items():
+        _write_report(out_dir / f"report_{feature_set}", report, config)
         pooled = report.pooled
         print(f"{feature_set:<12} {pooled['accuracy']:>9.4f} {pooled['recall']:>9.4f} "
               f"{pooled['precision']:>9.4f} {pooled['f1']:>9.4f} {pooled['auc']:>9.4f}")
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--folds", type=_folds, default=None, dest="cv_folds")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--feature-set", choices=_SUMMARY_ORDER, default=None,
+    p.add_argument("--feature-set", choices=evaluation.FEATURE_SETS, default=None,
                    dest="feature_set")
     p.add_argument("--out", required=True,
                    help="output prefix: writes <out>.json and <out>_roc.csv")

@@ -41,7 +41,7 @@ class RunConfig:
         if self.cv_folds < 2:
             raise ParseError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.feature_set not in FEATURE_SETS:
-            raise ParseError(f"feature_set must be one of {FEATURE_SETS}")
+            raise ParseError(f"feature_set must be one of {tuple(FEATURE_SETS)}")
         object.__setattr__(self, "log_sigmas_mm",
                            tuple(float(s) for s in self.log_sigmas_mm))
 

@@ -1,9 +1,12 @@
 """Metrics, ROC/AUC and patient-grouped stratified cross-validation.
 
-Per fold, LASSO selection runs on the training rows only (never the held-out
-fold), an LDA is fit on the standardized selected columns, and the held-out
-rows are scored.  Headline metrics pool the concatenated out-of-fold scores;
-per-fold mean and std are reported alongside.
+A feature set is a view over feature blocks (FEATURE_SETS).  Per outer fold,
+LASSO selection runs once for each block the requested sets need, on the
+training rows only (never the held-out fold), with an inner-CV seed keyed by
+the block, not by the set.  Each set then fits an LDA on the standardized
+union of its blocks' survivors and scores the held-out rows, so every set of
+one pass is scored on the same per-fold selections.  Headline metrics pool the
+concatenated out-of-fold scores; per-fold mean and std are reported alongside.
 
 AUC is the Mann-Whitney pair statistic with half credit for ties; the ROC
 point list is swept over unique score thresholds (descending, with a (0,0)
@@ -17,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, OneClassOnly
-from .folds import FoldAssignment, grouped_stratified_folds
+from .folds import grouped_stratified_folds
 from .lda import lda_fit, lda_predict, lda_score
-from .selection import (DYNAMIC_BLOCK, RADIOMIC_BLOCK, FeatureMatrix, SelectionModel,
-                        select_block)
+from .selection import BLOCKS, DYNAMIC_BLOCK, RADIOMIC_BLOCK, FeatureMatrix, select_block
 
-FEATURE_SETS = ("dynamic", "radiomic", "combined")
+# feature set -> the blocks whose selections it uses, in report order
+FEATURE_SETS = {"dynamic": (DYNAMIC_BLOCK,), "radiomic": (RADIOMIC_BLOCK,), "combined": BLOCKS}
 
 METRIC_NAMES = ("accuracy", "recall", "precision", "f1", "auc")
 
@@ -65,17 +68,15 @@ def roc_auc(labels, scores):
     if pos.size == 0 or neg.size == 0:
         raise OneClassOnly("AUC needs both classes present")
 
-    # Mann-Whitney with half credit for ties, counted pair by pair
-    wins = 0.0
-    chunk = max(1, 10_000_000 // max(neg.size, 1))
-    for start in range(0, pos.size, chunk):
-        block = pos[start:start + chunk, None]
-        wins += float((block > neg[None, :]).sum()) + 0.5 * float((block == neg[None, :]).sum())
-    auc = wins / (pos.size * neg.size)
-
-    thresholds = np.unique(scores)[::-1]
     pos_sorted = np.sort(pos)
     neg_sorted = np.sort(neg)
+    # Mann-Whitney with half credit for ties: per positive, the negatives
+    # below it and the negatives equal to it
+    below = np.searchsorted(neg_sorted, pos, side="left")
+    ties = np.searchsorted(neg_sorted, pos, side="right") - below
+    auc = (float(below.sum()) + 0.5 * float(ties.sum())) / (pos.size * neg.size)
+
+    thresholds = np.unique(scores)[::-1]
     tpr = (pos.size - np.searchsorted(pos_sorted, thresholds, side="left")) / pos.size
     fpr = (neg.size - np.searchsorted(neg_sorted, thresholds, side="left")) / neg.size
     points = [(0.0, 0.0, float("inf"))]
@@ -88,11 +89,6 @@ def trapezoidal_auc(points) -> float:
     fpr = np.array([p[0] for p in points])
     tpr = np.array([p[1] for p in points])
     return float(np.trapezoid(tpr, fpr))
-
-
-def make_folds(groups, labels, k: int = 5, seed=0) -> FoldAssignment:
-    """Patient-grouped, label-stratified fold assignment (see folds module)."""
-    return grouped_stratified_folds(groups, labels, k, seed)
 
 
 @dataclass(frozen=True)
@@ -108,20 +104,24 @@ class EvalReport:
     feature_set: str
     seed: int
     cv_folds: int
-    config_fingerprint: str
     folds: tuple[FoldResult, ...]
     pooled: dict[str, float]
     fold_mean: dict[str, float]
     fold_std: dict[str, float]
     roc_points: tuple = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, config: dict | None = None) -> dict:
+        """The report document; given the run's configuration, it also records
+        that configuration and its fingerprint."""
+        doc = {
             "schema_version": 1,
             "feature_set": self.feature_set,
             "seed": self.seed,
             "cv_folds": self.cv_folds,
-            "config_fingerprint": self.config_fingerprint,
+        }
+        if config is not None:
+            doc["config_fingerprint"] = config_fingerprint(config)
+        doc.update({
             "pooled": self.pooled,
             "fold_mean": self.fold_mean,
             "fold_std": self.fold_std,
@@ -132,92 +132,98 @@ class EvalReport:
             ],
             "roc_points": [[p[0], p[1], "inf" if np.isinf(p[2]) else p[2]]
                            for p in self.roc_points],
-        }
+        })
+        if config is not None:
+            doc["config"] = config
+        return doc
 
 
-def _blocks_for(feature_set: str) -> tuple[str, ...]:
-    if feature_set == "dynamic":
-        return (DYNAMIC_BLOCK,)
-    if feature_set == "radiomic":
-        return (RADIOMIC_BLOCK,)
-    if feature_set == "combined":
-        return (DYNAMIC_BLOCK, RADIOMIC_BLOCK)
-    raise ValueError(f"unknown feature set {feature_set!r}")
-
-
-def fit_and_score_fold(features: FeatureMatrix, train_idx, test_idx, feature_set: str,
+def fit_and_score_fold(features: FeatureMatrix, train_idx, test_idx, feature_sets,
                        grid_size: int, inner_folds: int, lda_ridge: float, fold_seed):
-    """Select on training rows, fit LDA on standardized survivors, score the
-    held-out rows.  Test-fold labels are never read."""
+    """Select each block the sets need once on the training rows, then per set
+    fit an LDA on the standardized union of its blocks' survivors and score
+    the held-out rows.  Test-fold labels are never read.
+
+    A block's inner-CV seed is fold_seed + (BLOCKS.index(block),): dynamic is
+    0 and radiomic is 1 whichever sets ask for it, so every set sees the same
+    selection of a block.  Returns ({set: (scores, predictions)},
+    {block: selected names}).
+    """
     train = features.take_rows(train_idx)
-    models: list[SelectionModel] = []
-    for i, block in enumerate(_blocks_for(feature_set)):
-        models.append(select_block(train, block, grid_size=grid_size,
-                                   cv_folds=inner_folds, seed=tuple(fold_seed) + (i,)))
-    selected: list[str] = []
-    mean_of: dict[str, float] = {}
-    std_of: dict[str, float] = {}
-    for model in models:
-        for name, mean, std in zip(model.names, model.means, model.stds):
-            mean_of[name] = float(mean)
-            std_of[name] = float(std)
-        selected.extend(model.selected)
-    selected = [n for n in features.names if n in set(selected)]
-
+    models = {block: select_block(train, block, grid_size=grid_size, cv_folds=inner_folds,
+                                  seed=tuple(fold_seed) + (BLOCKS.index(block),))
+              for block in BLOCKS if any(block in FEATURE_SETS[fs] for fs in feature_sets)}
+    # block -> {survivor: (mean, std) of the block's standardization}
+    survivors = {block: {n: (mean, std) for n, mean, std in zip(m.names, m.means, m.stds)
+                         if n in m.selected}
+                 for block, m in models.items()}
     test_values = features.values[np.asarray(test_idx)]
-    if not selected:
-        # LASSO killed every feature: constant score, all-benign predictions
-        scores = np.zeros(test_values.shape[0])
-        predictions = np.zeros(test_values.shape[0], dtype=int)
-    else:
+    n_test = test_values.shape[0]
+    scored = {}
+    for fs in feature_sets:
+        stats = {n: ms for block in FEATURE_SETS[fs] for n, ms in survivors[block].items()}
+        selected = [n for n in features.names if n in stats]
+        if not selected:
+            # LASSO killed every feature: constant score, all-benign predictions
+            scored[fs] = (np.zeros(n_test), np.zeros(n_test, dtype=int))
+            continue
         cols = features.column_index(selected)
-        means = np.array([mean_of[n] for n in selected])
-        stds = np.array([std_of[n] for n in selected])
-        z_train = (train.values[:, cols] - means) / stds
-        model = lda_fit(z_train, train.labels, ridge=lda_ridge)
+        means, stds = np.array([stats[n] for n in selected]).T
+        lda = lda_fit((train.values[:, cols] - means) / stds, train.labels, ridge=lda_ridge)
         z_test = (test_values[:, cols] - means) / stds
-        scores = lda_score(model, z_test)
-        predictions = lda_predict(model, z_test)
-    return scores, predictions, {m.block: list(m.selected) for m in models}
+        scored[fs] = (lda_score(lda, z_test), lda_predict(lda, z_test))
+    return scored, {block: list(m.selected) for block, m in models.items()}
 
 
-def cross_validate(features: FeatureMatrix, feature_set: str = "combined",
-                   cv_folds: int = 5, seed: int = 0,
-                   grid_size: int = 100, inner_folds: int = 5,
-                   lda_ridge: float = 1e-6,
-                   config_fingerprint: str = "") -> EvalReport:
-    """Patient-grouped stratified k-fold evaluation of the full select+classify
-    pipeline; deterministic given the seed."""
-    assign = make_folds(features.groups, features.labels, cv_folds, seed)
-    n = features.n_rows
-    oof_scores = np.zeros(n)
-    oof_pred = np.zeros(n, dtype=int)
+def _report(feature_set: str, labels, folds, seed: int) -> EvalReport:
+    """One set's report from the pass's per-fold (test rows, scored, selected)."""
+    oof_scores = np.zeros(labels.shape[0])
+    oof_pred = np.zeros(labels.shape[0], dtype=int)
     fold_results = []
-    for fold in range(cv_folds):
-        test_idx = np.flatnonzero(assign.fold == fold)
-        train_idx = np.flatnonzero(assign.fold != fold)
-        scores, predictions, selected = fit_and_score_fold(
-            features, train_idx, test_idx, feature_set,
-            grid_size, inner_folds, lda_ridge, fold_seed=(seed, fold))
+    for fold, (test_idx, scored, selected) in enumerate(folds):
+        scores, predictions = scored[feature_set]
         oof_scores[test_idx] = scores
         oof_pred[test_idx] = predictions
-        test_labels = features.labels[test_idx]
+        test_labels = labels[test_idx]
         metrics = confusion_metrics(test_labels, predictions)
         metrics["auc"], _ = roc_auc(test_labels, scores)
-        fold_results.append(FoldResult(fold=fold, n_test=test_idx.size,
-                                       metrics=metrics, selected=selected))
+        fold_results.append(FoldResult(
+            fold=fold, n_test=test_idx.size, metrics=metrics,
+            selected={block: selected[block] for block in FEATURE_SETS[feature_set]}))
 
-    pooled = confusion_metrics(features.labels, oof_pred)
-    pooled["auc"], roc_points = roc_auc(features.labels, oof_scores)
+    pooled = confusion_metrics(labels, oof_pred)
+    pooled["auc"], roc_points = roc_auc(labels, oof_scores)
     fold_mean = {m: float(np.mean([f.metrics[m] for f in fold_results]))
                  for m in METRIC_NAMES}
     fold_std = {m: float(np.std([f.metrics[m] for f in fold_results]))
                 for m in METRIC_NAMES}
-    return EvalReport(feature_set=feature_set, seed=seed, cv_folds=cv_folds,
-                      config_fingerprint=config_fingerprint,
+    return EvalReport(feature_set=feature_set, seed=seed, cv_folds=len(folds),
                       folds=tuple(fold_results), pooled=pooled,
                       fold_mean=fold_mean, fold_std=fold_std,
                       roc_points=tuple(roc_points))
+
+
+def cross_validate(features: FeatureMatrix, feature_sets=("combined",),
+                   cv_folds: int = 5, seed: int = 0,
+                   grid_size: int = 100, inner_folds: int = 5,
+                   lda_ridge: float = 1e-6) -> dict[str, EvalReport]:
+    """Patient-grouped stratified k-fold evaluation of the full select+classify
+    pipeline for each named feature set, in one pass over the folds; returns
+    {set: report} in the order asked.  Deterministic given the seed, and a
+    set's report does not depend on which other sets share the pass."""
+    if any(fs not in FEATURE_SETS for fs in feature_sets):
+        raise ValueError(f"feature sets must be among {tuple(FEATURE_SETS)}, "
+                         f"got {feature_sets!r}")
+    assign = grouped_stratified_folds(features.groups, features.labels, cv_folds, seed)
+    folds = []
+    for fold in range(cv_folds):
+        test_idx = np.flatnonzero(assign.fold == fold)
+        train_idx = np.flatnonzero(assign.fold != fold)
+        scored, selected = fit_and_score_fold(
+            features, train_idx, test_idx, feature_sets,
+            grid_size, inner_folds, lda_ridge, fold_seed=(seed, fold))
+        folds.append((test_idx, scored, selected))
+    return {fs: _report(fs, features.labels, folds, seed) for fs in feature_sets}
 
 
 def config_fingerprint(config: dict) -> str:

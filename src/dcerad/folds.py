@@ -16,9 +16,6 @@ from .errors import LengthMismatch, TooFewGroups
 @dataclass(frozen=True)
 class FoldAssignment:
     fold: np.ndarray                 # fold index per row
-    k: int
-    seed: object
-    patient_fold: dict[str, int]
     patient_label: dict[str, int]
 
 
@@ -51,5 +48,4 @@ def grouped_stratified_folds(groups, labels, k: int, seed) -> FoldAssignment:
         for pos, g in enumerate(shuffled):
             patient_fold[g] = pos % k
     fold = np.array([patient_fold[g] for g in groups], dtype=int)
-    return FoldAssignment(fold=fold, k=int(k), seed=seed,
-                          patient_fold=patient_fold, patient_label=patient_label)
+    return FoldAssignment(fold=fold, patient_label=patient_label)

@@ -158,11 +158,6 @@ def standardize(values: np.ndarray, names=None):
     return z, means[kept], stds[kept], kept, dropped
 
 
-def lasso_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    r = y - x @ beta
-    return float(0.5 * (r @ r) / x.shape[0] + lam * np.abs(beta).sum())
-
-
 def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
     """Exact LASSO coefficients at each of the non-increasing penalties, shape
     (len(lambdas), p), read off the piecewise-linear solution path."""

@@ -16,8 +16,7 @@ from dcerad.lda import lda_fit, lda_predict, lda_score
 from dcerad.radiomics import (GLCM_NAMES, GLCM_OFFSETS, GLDM_NAMES, GLSZM_NAMES,
                               glcm_features, glcm_matrix, gldm_features, gldm_matrix,
                               glszm_features, glszm_matrix)
-from dcerad.selection import (FeatureMatrix, lambda_grid, lambda_max, lasso_fit,
-                              lasso_objective, lasso_path)
+from dcerad.selection import FeatureMatrix, lambda_grid, lambda_max, lasso_fit, lasso_path
 from dcerad.volume import voxel_count
 
 from conftest import make_volume, random_series_and_mask
@@ -27,7 +26,7 @@ from test_kinetics import reference_kinetics
 from test_radiomics import (glcm_features_oracle, glcm_oracle, gldm_features_oracle,
                             gldm_oracle, glszm_features_oracle, glszm_oracle,
                             level_grid, random_levels)
-from test_selection import kkt_residual, orthonormal_design, reference_cd
+from test_selection import kkt_residual, lasso_objective, orthonormal_design, reference_cd
 
 
 def report(num, desc, ok, detail=""):
@@ -269,15 +268,16 @@ def test_criterion_10_leakage_and_determinism(pipeline_result, tmp_path):
         shuffled = FeatureMatrix(features.names, features.values,
                                  features.labels[perm], features.groups,
                                  features.lesion_ids)
-        rep = evaluation.cross_validate(shuffled, "dynamic", cv_folds=5, seed=seed)
-        aucs.append(rep.pooled["auc"])
+        rep = evaluation.cross_validate(shuffled, ("dynamic",), cv_folds=5, seed=seed)
+        aucs.append(rep["dynamic"].pooled["auc"])
     permutation_ok = all(0.4 <= a <= 0.6 for a in aucs)
 
     # one permutation through the full combined pipeline as well
     perm = np.random.default_rng(0).permutation(features.n_rows)
     shuffled = FeatureMatrix(features.names, features.values, features.labels[perm],
                              features.groups, features.lesion_ids)
-    combined = evaluation.cross_validate(shuffled, "combined", cv_folds=5, seed=0)
+    combined = evaluation.cross_validate(shuffled, ("combined",), cv_folds=5,
+                                         seed=0)["combined"]
     combined_ok = 0.4 <= combined.pooled["auc"] <= 0.6
 
     # bit-reproducibility of each command given identical flags and seed

@@ -197,6 +197,24 @@ def test_pipeline_empty_manifest(tmp_path, capsys):
     assert code == 1
 
 
+def test_pipeline_reports_equal_crossval_runs(tmp_path, capsys):
+    # pipeline scores the three sets in one pass; each report is the bytes
+    # that crossval of that set alone writes from the same features.csv
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["phantom", "--cases", "24", "--seed", "5", "--out", str(corpus)]) == 0
+    assert main(["pipeline", "--manifest", str(corpus / "manifest.txt"), "--out", str(out),
+                 "--folds", "3", "--workers", "1"]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["dynamic", "radiomic", "combined"]
+    for fs in ("dynamic", "radiomic", "combined"):
+        prefix = tmp_path / f"crossval_{fs}"
+        assert main(["crossval", "--features", str(out / "features.csv"), "--folds", "3",
+                     "--feature-set", fs, "--out", str(prefix)]) == 0
+        for suffix in (".json", "_roc.csv"):
+            assert ((out / f"report_{fs}{suffix}").read_bytes()
+                    == Path(f"{prefix}{suffix}").read_bytes())
+
+
 # --- config -----------------------------------------------------------------------
 
 

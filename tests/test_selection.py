@@ -4,14 +4,21 @@ import pytest
 from dcerad.errors import TooFewRows
 from dcerad.kinetics import DYNAMIC_FEATURE_NAMES
 from dcerad.selection import (FeatureMatrix, SelectionModel, lambda_grid, lambda_max,
-                              lambda_path_cv, lasso_fit, lasso_objective, lasso_path,
-                              select_block, standardize)
+                              lambda_path_cv, lasso_fit, lasso_path, select_block,
+                              standardize)
 
 
 def orthonormal_design(rng, n, p):
     """Columns with x_j . x_k = n * delta_jk, so the closed form applies."""
     q, _ = np.linalg.qr(rng.normal(size=(n, p)))
     return q[:, :p] * np.sqrt(n)
+
+
+def lasso_objective(x, y, beta, lam) -> float:
+    """The penalized objective the solver minimizes: ||y - x beta||^2 / 2n
+    + lam * ||beta||_1."""
+    r = y - x @ beta
+    return float(0.5 * (r @ r) / x.shape[0] + lam * np.abs(beta).sum())
 
 
 def reference_cd(x, y, lam, tol=1e-7, max_sweeps=100_000):
