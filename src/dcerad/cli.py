@@ -33,6 +33,13 @@ def _effective_config(args) -> RunConfig:
     return config.replace(**overrides)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _extract_one(task):
     """Worker: load one lesion and produce its full feature row."""
     record, config_dict = task
@@ -58,6 +65,9 @@ def extract_features(manifest_path, config: RunConfig, workers: int = 1,
     tasks = [(r, config.to_dict()) for r in records]
     rows = [None] * len(records)
     if workers > 1 and len(records) > 1:
+        # the workers fork from here: load the connected-components code that
+        # every lesion needs once, rather than once in each worker
+        import scipy.sparse.csgraph  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_extract_one, tasks, chunksize=1)
             for i, (err, row) in enumerate(results):
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--bin-count", type=int, default=None, dest="bin_count")
-    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_positive_int, default=_cpu_count())
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("crossval", help="cross-validated evaluation of a feature table")
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--folds", type=_folds, default=None, dest="cv_folds")
-    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_positive_int, default=_cpu_count())
     p.set_defaults(func=cmd_pipeline)
 
     return parser

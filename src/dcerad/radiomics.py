@@ -50,8 +50,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BadLevelCount, EmptyMask
 from .filters import default_catalog, derive, filter_radius_voxels, wavelet_bands
@@ -268,6 +266,10 @@ def _midpoints(m: np.ndarray) -> np.ndarray:
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Component label of each of n voxels in the graph with edges (a, b),
     a sorted: the edges are the graph's CSR rows as they stand."""
+    # imported here, so that only extraction pays for loading scipy
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # float64 weights, which connected_components would otherwise copy to

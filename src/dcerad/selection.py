@@ -14,6 +14,12 @@ beta = 0, and goes down from breakpoint to breakpoint: an inactive column's
 (it drops).  Coefficients at a requested penalty are read off its segment, so
 the answer has no convergence tolerance and no iteration budget.
 
+Each segment is solved with the lower Cholesky factor L of G_AA and its
+inverse, kept together: beta_A = L^-T L^-1 (x_A'y/n - lambda s_A), two
+matrix products.  A join borders both in O(|A|^2).  A drop at position k
+keeps the rows above k and the first k columns of the rows below; only the
+trailing block absorbs the dropped column and is factored again and inverted.
+
 Degenerate designs are the rule here (duplicate feature columns, p > n), and
 two rules keep the walk well defined.  When several columns reach lambda
 together, the lowest column index joins.  A column joins only while G_AA
@@ -33,7 +39,6 @@ minimizing mean squared out-of-fold error with ties broken toward the smaller
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import TooFewRows
 from .folds import grouped_stratified_folds
@@ -49,8 +54,9 @@ DEFAULT_CV_FOLDS = 5
 # reach lambda together; rounding separates their breakpoints by up to ~3e-12.
 _TIE = 1e-9
 # A joining column whose squared distance from span(A), relative to its squared
-# norm, is at most this is in span(A).  On the 200-lesion phantom the values
-# are <= 1.3e-15 for dependent columns and >= 1.2e-6 for the others.
+# norm, is at most this is in span(A).  Over a three-set crossval of the
+# 200-lesion phantom (heterogeneity 0.2 and 0.48, seed 0) the values are
+# <= 4.7e-15 for dependent columns and >= 1.9e-7 for the others.
 _DEPENDENT = 1e-10
 
 
@@ -158,6 +164,36 @@ def standardize(values: np.ndarray, names=None):
     return z, means[kept], stds[kept], kept, dropped
 
 
+def _border(m: np.ndarray, row: np.ndarray, diag: float) -> np.ndarray:
+    """Lower-triangular m grown by one row and column: [[m, 0], [row, diag]]."""
+    n = m.shape[0]
+    grown = np.zeros((n + 1, n + 1))
+    grown[:n, :n] = m
+    grown[n, :n] = row
+    grown[n, n] = diag
+    return grown
+
+
+def _drop_factor(chol: np.ndarray, linv: np.ndarray, k: int):
+    """Cholesky factor of gram[A, A] and its inverse with active position k
+    removed.  Rows above k keep their factor and rows below keep their first
+    k columns; only the trailing block, which absorbs the removed column
+    l = chol[k+1:, k], is factored again and inverted."""
+    tail = chol[k + 1:, k + 1:]
+    l = chol[k + 1:, k]
+    m = np.linalg.cholesky(tail @ tail.T + np.outer(l, l))
+    m_inv = np.tril(np.linalg.inv(m))
+    size = chol.shape[0] - 1
+    chol_out, linv_out = np.zeros((2, size, size))
+    chol_out[:k, :k] = chol[:k, :k]
+    chol_out[k:, :k] = chol[k + 1:, :k]
+    chol_out[k:, k:] = m
+    linv_out[:k, :k] = linv[:k, :k]
+    linv_out[k:, :k] = -m_inv @ (chol_out[k:, :k] @ linv[:k, :k])
+    linv_out[k:, k:] = m_inv
+    return chol_out, linv_out
+
+
 def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
     """Exact LASSO coefficients at each of the non-increasing penalties, shape
     (len(lambdas), p), read off the piecewise-linear solution path."""
@@ -171,8 +207,10 @@ def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
     xty = x.T @ y / n
     out = np.zeros((lambdas.shape[0], p))
     active, signs = [], []
-    chol = np.zeros((0, 0))          # lower Cholesky factor of gram[A, A]
-    u = w = np.zeros(0)              # on this segment beta_A = u - lam * w
+    chol = linv = np.zeros((0, 0))   # lower Cholesky factor of gram[A, A], its inverse
+    uw = np.zeros((2, 0))            # on this segment beta_A = u - lam * w
+    g_a = np.empty_like(gram)        # rows gram[A] in the order of A, kept so
+                                     # that no step gathers them again
     # side (+lam, -lam) of column j may join only at penalties below
     # barred[side, j]: -inf while j is in span(A), the drop penalty after j
     # leaves A from that side (so no join/drop pair repeats at one penalty)
@@ -180,9 +218,9 @@ def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
     lam = np.abs(xty).max(initial=0.0)   # lambda_max: beta = 0 down to here
     i = 0
     while True:
-        g_a = gram[:, active]
-        e = xty - g_a @ u            # correlations x'r/n = e + lam * a
-        a = g_a @ w
+        u, w = uw
+        gu, a = uw @ g_a[:len(active)]
+        e = xty - gu                 # correlations x'r/n = e + lam * a
         with np.errstate(divide="ignore", invalid="ignore"):
             # where c_j reaches +lam / -lam as lam falls; clipped to lam, so a
             # column already past the penalty by rounding joins at once
@@ -207,23 +245,21 @@ def _homotopy(x: np.ndarray, y: np.ndarray, lambdas) -> np.ndarray:
             col = active.pop(k)
             barred[barred == -np.inf] = np.inf
             barred[int(signs.pop(k) < 0), col] = lam
-            chol = np.linalg.cholesky(gram[np.ix_(active, active)])
+            chol, linv = _drop_factor(chol, linv, k)
+            g_a[k:len(active)] = g_a[k + 1:len(active) + 1]
         else:                        # column j reaches the penalty
-            v = solve_triangular(chol, gram[active, j], lower=True)
+            v = linv @ gram[active, j]
             d2 = gram[j, j] - v @ v
             if not d2 > _DEPENDENT * gram[j, j]:
                 barred[:, j] = -np.inf
                 continue
-            n_a = len(active)
-            grown = np.zeros((n_a + 1, n_a + 1))
-            grown[:n_a, :n_a] = chol
-            grown[n_a, :n_a] = v
-            grown[n_a, n_a] = np.sqrt(d2)
-            chol = grown
+            d = np.sqrt(d2)
+            chol = _border(chol, v, d)
+            linv = _border(linv, -(v @ linv) / d, 1.0 / d)
+            g_a[len(active)] = gram[j]
             active.append(j)
             signs.append(1.0 if roots[0, j] >= roots[1, j] else -1.0)
-        uw = cho_solve((chol, True), np.column_stack([xty[active], signs]))
-        u, w = uw[:, 0], uw[:, 1]
+        uw = (linv.T @ (linv @ np.column_stack([xty[active], signs]))).T
 
 
 def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:

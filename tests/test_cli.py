@@ -40,17 +40,30 @@ def signal_table(tmp_path, n=60, seed=21):
     return path
 
 
-def test_import_loads_neither_ndimage_nor_spatial():
-    # every command pays the import at start-up: of scipy's public
-    # subpackages, only the two the program uses may load
+def test_only_extraction_loads_scipy(small_corpus, tmp_path):
+    # every command pays its imports at start-up: import and crossval use
+    # numpy alone; a parallel extraction loads the connected-components code
+    # before its workers fork, so that they inherit it
     src = str(Path(dcerad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import pkgutil, sys, scipy, dcerad.cli; "
-            "print(sorted(m.name for m in pkgutil.iter_modules(scipy.__path__) "
-            "if m.ispkg and not m.name.startswith('_') and 'scipy.' + m.name in sys.modules))")
+    code = f"""
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from dcerad import cli
+print(scipy_modules())
+assert cli.main(["crossval", "--features", {str(signal_table(tmp_path))!r},
+                 "--out", {str(tmp_path / "report")!r}]) == 0
+print(scipy_modules())
+cli.extract_features({str(small_corpus)!r}, cli.RunConfig(), workers=2)
+print("scipy.sparse.csgraph" in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "['linalg', 'sparse']"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2] == "[]"
+    assert lines[-1] == "True"
 
 
 # --- phantom ----------------------------------------------------------------------
@@ -85,6 +98,16 @@ def test_extract_shape_and_determinism(small_corpus, tmp_path, capsys):
     assert len(m.names) == 11 + 806
     err = capsys.readouterr().err
     assert "[extract]" in err
+
+
+def test_workers_default_to_the_affinity_mask(monkeypatch):
+    # a container may run on fewer CPUs than the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    parser = cli.build_parser()
+    for command in ("extract", "pipeline"):
+        args = parser.parse_args([command, "--manifest", "m.txt", "--out", "o"])
+        assert args.workers == 1
 
 
 def test_extract_missing_manifest(tmp_path, capsys):

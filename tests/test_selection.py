@@ -189,6 +189,22 @@ def test_path_optimal_on_degenerate_wide_design():
         assert lasso_objective(x, y, beta, lam) <= lasso_objective(x, y, reference, lam) + 1e-12
 
 
+def test_path_optimal_through_drops_on_correlated_wide_design():
+    # a radiomic-like block: 300 columns driven by 4 latent factors plus small
+    # noise, 40 rows, so the walk fills the support and then trades columns
+    rng = np.random.default_rng(0)
+    n, p = 40, 300
+    x = rng.normal(size=(n, 4)) @ rng.normal(size=(4, p)) + 0.05 * rng.normal(size=(n, p))
+    x = (x - x.mean(0)) / x.std(0)
+    y = (rng.random(n) < 0.5).astype(float)
+    y = y - y.mean()
+    grid = lambda_grid(lambda_max(x, y), 100)
+    betas = lasso_path(x, y, grid)
+    assert kkt_residual(x, y, grid, betas) <= 1e-9      # worst over the grid
+    active = betas != 0.0
+    assert np.any(active[:-1] & ~active[1:])     # a coefficient left the support
+
+
 def test_path_tie_and_rank_rules():
     x, y = degenerate_design()
     betas = lasso_path(x, y, lambda_grid(lambda_max(x, y), 25))
