@@ -8,9 +8,10 @@ output bytes.
 """
 
 import argparse
+import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +41,16 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _extract_one(task):
-    """Worker: load one lesion and produce its full feature row."""
-    record, config_dict = task
-    config = RunConfig(**{**config_dict,
-                          "log_sigmas_mm": tuple(config_dict["log_sigmas_mm"])})
+def _extract_one(record, config: RunConfig) -> np.ndarray:
+    """Load one lesion and produce its full feature row."""
     try:
         series, roi = dataio.load_lesion(record)
         dynamic = extract_dynamic_features(series, roi, config.ftv_threshold_pct)
         catalog = default_catalog(config.log_sigmas_mm)
         radiomic = extract_radiomic_features(series, roi, catalog, config.bin_count)
-        row = np.concatenate([dynamic.as_array(), radiomic.values])
-        return None, row
     except (DceradError, OSError) as exc:  # propagated with the lesion named
-        return f"lesion {record.patient_id}/{record.lesion_id}: {exc}", None
+        raise DceradError(f"lesion {record.patient_id}/{record.lesion_id}: {exc}") from exc
+    return np.concatenate([dynamic.as_array(), radiomic.values])
 
 
 def extract_features(manifest_path, config: RunConfig, workers: int = 1,
@@ -62,28 +59,19 @@ def extract_features(manifest_path, config: RunConfig, workers: int = 1,
     records = dataio.load_manifest(manifest_path)
     names = DYNAMIC_FEATURE_NAMES + radiomic_feature_names(
         default_catalog(config.log_sigmas_mm))
-    tasks = [(r, config.to_dict()) for r in records]
-    rows = [None] * len(records)
-    if workers > 1 and len(records) > 1:
-        # the workers fork from here: load the connected-components code that
-        # every lesion needs once, rather than once in each worker
-        import scipy.sparse.csgraph  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_extract_one, tasks, chunksize=1)
-            for i, (err, row) in enumerate(results):
-                if err:
-                    raise DceradError(err)
-                rows[i] = row
-                if progress:
-                    progress(i + 1, len(records), records[i])
-    else:
-        for i, task in enumerate(tasks):
-            err, row = _extract_one(task)
-            if err:
-                raise DceradError(err)
-            rows[i] = row
+    rows = []
+    with contextlib.ExitStack() as stack:
+        mapper = map            # one worker: in this process
+        if workers > 1 and len(records) > 1:
+            # the workers fork from here: load the connected-components code
+            # that every lesion needs once, rather than once in each worker
+            import scipy.sparse.csgraph  # noqa: F401
+            from concurrent.futures import ProcessPoolExecutor
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for record, row in zip(records, mapper(partial(_extract_one, config=config), records)):
+            rows.append(row)
             if progress:
-                progress(i + 1, len(records), records[i])
+                progress(len(rows), len(records), record)
     return FeatureMatrix(
         names=names,
         values=np.vstack(rows) if rows else np.zeros((0, len(names))),

@@ -243,7 +243,7 @@ def write_feature_table(path, matrix: FeatureMatrix):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_feature_table(path, expected_names=None) -> FeatureMatrix:
+def read_feature_table(path) -> FeatureMatrix:
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -253,8 +253,6 @@ def read_feature_table(path, expected_names=None) -> FeatureMatrix:
         raise HeaderMismatch(
             f"{path}: header must start with {','.join(_TABLE_PREFIX)}")
     names = tuple(header[3:])
-    if expected_names is not None and names != tuple(expected_names):
-        raise HeaderMismatch(f"{path}: feature columns do not match the expected schema")
     groups, lesion_ids, labels, rows = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

@@ -130,7 +130,8 @@ def log_filter(vol: Volume3D, sigma_mm: float) -> Volume3D:
 
 
 def filter_radius_voxels(image_id: DerivedImageId, spacing) -> tuple[int, int, int]:
-    """Per-axis input dependency radius of one derived image (for exact crops)."""
+    """Per-axis input dependency radius of one derived image: filtered over a
+    window widened by it, the image holds its full-volume values inside."""
     if image_id.kind == "original":
         return (0, 0, 0)
     if image_id.kind == "wavelet":

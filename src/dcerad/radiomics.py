@@ -11,7 +11,7 @@ Texture conventions:
   level = min(ng, 1 + floor(ng*(v - vmin)/(vmax - vmin))), all 1 on a flat ROI;
 * all texture matrices read one graph per lesion: its 26-neighboring in-mask
   voxel pairs, each unordered pair once (13 offsets, Mask3D.neighbour_pairs),
-  sorted by their first voxel a.  The shape features build it on the crop
+  sorted by their first voxel a.  The shape features build it on the frame
   mask; the mask cut to its bounding box has the same in-mask voxel order and
   shares it (Mask3D.cut);
 * each derived image gathers its levels along the pairs once
@@ -22,20 +22,20 @@ Texture conventions:
 * GLSZM zones are the connected components of the equal-level pairs, shape
   components those of all pairs (26-connectivity); pairs sorted by a are the
   rows of the graph's CSR matrix as they stand, so no sort is needed;
-* GLDM dependence of a voxel = number of its pairs within alpha gray levels
-  (alpha = 0: the equal-level pairs);
+* GLDM dependence of a voxel = number of its equal-level pairs;
   emphasis weights use the center-inclusive count (dependence+1) so a matrix
   with all mass at dependence 0 has small-dependence emphasis 1.
 
 Texture reads in-mask voxels only, so each derived image is filtered over
-the mask's bounding box widened by that image's own dependency radius
-(filter_radius_voxels: 0 for the original, 1 for the wavelet bands, which are
-computed once, and per sigma for LoG), clamped to the crop, then cut to the
-box.  Mirror extension still happens only at real volume faces, so every
-in-mask value comes from the same float operations as a full-volume filter.
-The crop itself (_crop_for_catalog) stays: it fixes the coordinate frame of
-the shape features, whose diameter and axis lengths move by an ulp in
-another frame.
+a window of the full peak phase: the mask's bounding box widened by that
+image's own dependency radius (filter_radius_voxels: 0 for the original, 1
+for the wavelet bands, which are computed once, and per sigma for LoG),
+clamped to the volume, then cut to the box.  Mirror extension happens only at
+real volume faces, so every in-mask value comes from the same float
+operations as a full-volume filter.  Only the mask is cut to a frame of its
+own: the bounding box widened by the catalog's largest radius, clamped to the
+volume.  That frame fixes the coordinates of the shape features, whose
+diameter and axis lengths move by an ulp in another frame.
 
 Maximum3DDiameter is exact with no hull: a voxel halfway between two in-mask
 voxels along one of the 13 offsets is no vertex of the convex hull, so the
@@ -58,8 +58,6 @@ from .volume import (NEIGHBOUR_OFFSETS, DceSeries, LesionRoi, Mask3D, Volume3D, 
                      masked_values, voxel_count, voxel_volume_mm3)
 
 DEFAULT_BIN_COUNT = 32
-
-GLCM_OFFSETS = NEIGHBOUR_OFFSETS
 
 FIRST_ORDER_NAMES = (
     "Energy", "TotalEnergy", "Entropy", "Minimum", "Percentile10", "Percentile90",
@@ -135,22 +133,14 @@ class DiscretizedRoi:
     def equal_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The neighbour pairs whose two voxels share a level, still sorted by a."""
         la, lb = self.pair_levels
-        return _pairs_where(self.mask, la == lb)
+        at = np.flatnonzero(la == lb)
+        return tuple(ends.take(at) for ends in self.mask.neighbour_pairs)
 
 
 @dataclass(frozen=True)
 class RadiomicFeatureSet:
     names: tuple[str, ...]
     values: np.ndarray
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, (float(v) for v in self.values)))
-
-
-def _pairs_where(mask: Mask3D, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask's neighbour pairs where keep is true, still sorted by a."""
-    at = np.flatnonzero(keep)
-    return tuple(ends.take(at) for ends in mask.neighbour_pairs)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -181,24 +171,17 @@ def discretize(vol: Volume3D, mask: Mask3D, ng: int = DEFAULT_BIN_COUNT) -> Disc
 # --- first order ----------------------------------------------------------------
 
 
-def first_order_features(vol: Volume3D, mask: Mask3D,
-                         ng: int = DEFAULT_BIN_COUNT) -> dict[str, float]:
-    if voxel_count(mask) == 0:
-        raise EmptyMask("first-order features need a nonempty mask")
-    values = masked_values(vol, mask)
-    return _first_order_from_values(values, _discretize_values(values, ng),
-                                    voxel_volume_mm3(vol), ng)
-
-
-def _first_order_from_values(v: np.ndarray, levels: np.ndarray, voxel_mm3: float,
-                             ng: int) -> dict[str, float]:
+def first_order_features(d: DiscretizedRoi, voxel_mm3: float) -> dict[str, float]:
+    """Intensity statistics of the in-mask values; Entropy and Uniformity
+    read the gray levels."""
+    v = d.values
     n = v.size
     mean = float(v.mean())
     centered = v - mean
     m2 = float((centered ** 2).mean())
     energy = float((v ** 2).sum())
     p10, p25, p50, p75, p90 = (float(q) for q in np.percentile(v, [10, 25, 50, 75, 90]))
-    p = np.bincount(levels, minlength=ng + 1)[1:] / n
+    p = np.bincount(d.levels, minlength=d.ng + 1)[1:] / n
 
     robust = v[(v >= p10) & (v <= p90)]
     rmad = float(np.abs(robust - robust.mean()).mean()) if robust.size else 0.0
@@ -350,14 +333,10 @@ def shape_features(mask: Mask3D, spacing) -> dict[str, float]:
 # --- GLCM -------------------------------------------------------------------------
 
 
-def glcm_matrix(d: DiscretizedRoi, offsets=GLCM_OFFSETS) -> np.ndarray:
+def glcm_matrix(d: DiscretizedRoi) -> np.ndarray:
     """Symmetric co-occurrence probabilities, ng x ng; all zero when no pair exists."""
     ng = d.ng
-    if offsets is GLCM_OFFSETS:
-        la, lb = d.pair_levels
-    else:
-        a, b = d.mask.pairs_along(offsets)
-        la, lb = d.levels[a], d.levels[b]
+    la, lb = d.pair_levels
     counts = _count_matrix(la, lb, (ng + 1, ng + 1))[1:, 1:]       # levels start at 1
     sym = counts + counts.T
     total = sym.sum()
@@ -486,13 +465,9 @@ def glszm_features(m: np.ndarray, n_voxels: int) -> dict[str, float]:
 # --- GLDM -------------------------------------------------------------------------
 
 
-def gldm_matrix(d: DiscretizedRoi, alpha: int = 0) -> np.ndarray:
+def gldm_matrix(d: DiscretizedRoi) -> np.ndarray:
     """Voxel counts by (gray level, dependence); dependence columns start at 0."""
-    if alpha == 0:
-        a, b = d.equal_pairs           # |difference| <= 0: equal levels
-    else:
-        la, lb = d.pair_levels
-        a, b = _pairs_where(d.mask, np.abs(la - lb) <= alpha)
+    a, b = d.equal_pairs
     n = d.levels.size
     deps = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     return _count_matrix(d.levels - 1, deps, (d.ng, int(deps.max()) + 1))
@@ -550,25 +525,10 @@ def _window(box, radius, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
             tuple(slice(b0 - l, b1 + 1 - l) for (b0, b1), l in zip(box, lo)))
 
 
-def _crop_for_catalog(base: Volume3D, mask: Mask3D, catalog) -> tuple[Volume3D, Mask3D]:
-    """Crop to the mask bounding box plus the filter dependency margin.
-
-    The crop is exact: every filter output at an in-mask voxel matches the
-    full-volume computation because either real data fills the margin or the
-    crop face coincides with the volume boundary.
-    """
-    margins = np.zeros(3, dtype=int)
-    for image_id in catalog:
-        margins = np.maximum(margins, filter_radius_voxels(image_id, base.spacing))
-    window, _ = _window(bounding_box(mask), margins, base.dims)
-    return (Volume3D(base.data[window].copy(), base.spacing),
-            Mask3D(mask.data[window].copy()))
-
-
 def _texture_block(derived: Volume3D, mask: Mask3D, ng: int) -> list[float]:
     values: list[float] = []
     d = discretize(derived, mask, ng)
-    fo = _first_order_from_values(d.values, d.levels, voxel_volume_mm3(derived), ng)
+    fo = first_order_features(d, voxel_volume_mm3(derived))
     values += [fo[n] for n in FIRST_ORDER_NAMES]
     glcm = glcm_features(glcm_matrix(d))
     values += [glcm[n] for n in GLCM_NAMES]
@@ -580,17 +540,22 @@ def _texture_block(derived: Volume3D, mask: Mask3D, ng: int) -> list[float]:
 
 
 def extract_radiomic_features(series: DceSeries, roi: LesionRoi, catalog=None,
-                              ng: int = DEFAULT_BIN_COUNT,
-                              crop: bool = True) -> RadiomicFeatureSet:
+                              ng: int = DEFAULT_BIN_COUNT) -> RadiomicFeatureSet:
     """Full radiomic vector for one lesion, on the peak post-contrast phase."""
     if catalog is None:
         catalog = default_catalog()
     peak = select_peak_phase(series, roi.mask)
     base = series.phases[peak]
-    mask = roi.mask
-    if crop:
-        base, mask = _crop_for_catalog(base, mask, catalog)
+    box = bounding_box(roi.mask)
 
+    # the shape features' frame: the box widened by the largest filter radius.
+    # It and each image's window below are C-ordered copies, as the arrays
+    # that np.pad makes are: mixing those with strided views of an x-fastest
+    # volume makes shape and filters up to a fifth slower
+    margin = np.max([(0, 0, 0)] + [filter_radius_voxels(image_id, base.spacing)
+                                   for image_id in catalog], axis=0)
+    frame, box_in_frame = _window(box, margin, base.dims)
+    mask = Mask3D(roi.mask.data[frame].copy())
     values = []
     shape = shape_features(mask, base.spacing)
     values += [shape[n] for n in SHAPE_NAMES]
@@ -598,17 +563,16 @@ def extract_radiomic_features(series: DceSeries, roi: LesionRoi, catalog=None,
     # texture reads in-mask voxels only: each image is filtered over the box
     # widened by its own radius, then cut to the box, where inner shares the
     # neighbour pairs the shape features built
-    box = bounding_box(mask)
-    inner = mask.cut(tuple(slice(lo, hi + 1) for lo, hi in box))
+    inner = mask.cut(box_in_frame)
     bands = None
     for image_id in catalog:
         window, within = _window(box, filter_radius_voxels(image_id, base.spacing), base.dims)
         if image_id.kind == "wavelet":
             if bands is None:
-                bands = wavelet_bands(Volume3D(base.data[window], base.spacing))
+                bands = wavelet_bands(Volume3D(base.data[window].copy(), base.spacing))
             derived = bands[image_id.band]
         else:
-            derived = derive(Volume3D(base.data[window], base.spacing), image_id)
+            derived = derive(Volume3D(base.data[window].copy(), base.spacing), image_id)
         values += _texture_block(Volume3D(derived.data[within], base.spacing), inner, ng)
 
     return RadiomicFeatureSet(names=radiomic_feature_names(catalog),

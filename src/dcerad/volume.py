@@ -91,40 +91,28 @@ class Mask3D:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def from_flat(cls, dims, flat) -> "Mask3D":
-        flat = np.asarray(flat)
-        nx, ny, nz = (int(d) for d in dims)
-        if flat.size != nx * ny * nz:
-            raise DimensionMismatch(f"{flat.size} values for dims {(nx, ny, nz)}")
-        return cls(flat.reshape((nx, ny, nz), order="F").astype(bool))
-
     def flat(self) -> np.ndarray:
         return self.data.ravel(order="F")
 
-    def pairs_along(self, offsets) -> tuple[np.ndarray, np.ndarray]:
-        """In-mask voxel pairs (a, b) with b = a + offset, as index arrays
-        into the x-fastest in-mask voxel order.  The pairs come sorted by a,
-        and for each a by offset."""
-        p = max(1, int(np.abs(offsets).max(initial=0)))
-        index = np.full(tuple(n + 2 * p for n in self.dims), -1, dtype=np.int32, order="F")
-        index[p:-p, p:-p, p:-p][self.data] = -2
-        flat = index.ravel(order="F")          # a view: p pad voxels on every side
+    @cached_property
+    def neighbour_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every unordered pair (a, b) of 26-neighboring in-mask voxels, once,
+        with b = a + one of NEIGHBOUR_OFFSETS, as index arrays into the
+        x-fastest in-mask voxel order.  The pairs come sorted by a, and for
+        each a by offset.  Built on first use and shared by everything
+        computed on this mask."""
+        index = np.full(tuple(n + 2 for n in self.dims), -1, dtype=np.int32, order="F")
+        index[1:-1, 1:-1, 1:-1][self.data] = -2
+        flat = index.ravel(order="F")          # a view: one pad voxel on every side
         at = np.flatnonzero(flat == -2)
         flat[at] = np.arange(at.size, dtype=np.int32)
-        shifts = np.dot(offsets, (1, index.shape[0], index.shape[0] * index.shape[1]))
+        shifts = np.dot(NEIGHBOUR_OFFSETS, (1, index.shape[0], index.shape[0] * index.shape[1]))
         # one row per in-mask voxel: its neighbour's in-mask index along each
         # offset, or -1; the kept entries, read row by row, come sorted by a
         table = flat[at[:, None] + shifts]
         keep = table >= 0
         a = np.broadcast_to(np.arange(at.size, dtype=np.int32)[:, None], keep.shape)[keep]
         return a, table[keep]
-
-    @cached_property
-    def neighbour_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every unordered pair of 26-neighboring in-mask voxels, once; built
-        on first use and shared by everything computed on this mask."""
-        return self.pairs_along(NEIGHBOUR_OFFSETS)
 
     def cut(self, window: tuple[slice, slice, slice]) -> "Mask3D":
         """This mask cut to a window that holds all its voxels.  The in-mask

@@ -13,11 +13,11 @@ from dcerad.filters import WAVELET_BANDS, log_filter, wavelet_bands
 from dcerad.kinetics import (classify_delayed, classify_initial, compute_derm,
                              compute_ierm, select_peak_phase, type_ratios)
 from dcerad.lda import lda_fit, lda_predict, lda_score
-from dcerad.radiomics import (GLCM_NAMES, GLCM_OFFSETS, GLDM_NAMES, GLSZM_NAMES,
+from dcerad.radiomics import (GLCM_NAMES, GLDM_NAMES, GLSZM_NAMES,
                               glcm_features, glcm_matrix, gldm_features, gldm_matrix,
                               glszm_features, glszm_matrix)
 from dcerad.selection import FeatureMatrix, lambda_grid, lambda_max, lasso_fit, lasso_path
-from dcerad.volume import voxel_count
+from dcerad.volume import NEIGHBOUR_OFFSETS, voxel_count
 
 from conftest import make_volume, random_series_and_mask
 from test_dataio import build_nifti
@@ -113,11 +113,11 @@ def test_criterion_04_texture_oracles():
         rng = np.random.default_rng(seed)
         d = random_levels(rng, max_dim=5, ng=4)
         p = glcm_matrix(d)
-        assert np.allclose(p, glcm_oracle(level_grid(d), d.ng, GLCM_OFFSETS), atol=1e-15)
+        assert np.allclose(p, glcm_oracle(level_grid(d), d.ng, NEIGHBOUR_OFFSETS), atol=1e-15)
         m_szm = glszm_matrix(d)
         assert np.array_equal(m_szm, glszm_oracle(level_grid(d), d.ng))
-        m_dm = gldm_matrix(d, 0)
-        assert np.array_equal(m_dm, gldm_oracle(level_grid(d), d.ng, 0))
+        m_dm = gldm_matrix(d)
+        assert np.array_equal(m_dm, gldm_oracle(level_grid(d), d.ng))
         if seed % 10 == 0:
             n_vox = voxel_count(d.mask)
             if p.sum() > 0:

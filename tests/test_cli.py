@@ -42,8 +42,8 @@ def signal_table(tmp_path, n=60, seed=21):
 
 def test_only_extraction_loads_scipy(small_corpus, tmp_path):
     # every command pays its imports at start-up: import and crossval use
-    # numpy alone; a parallel extraction loads the connected-components code
-    # before its workers fork, so that they inherit it
+    # numpy alone and load no worker pool; a parallel extraction loads the
+    # connected-components code before its workers fork, so that they inherit it
     src = str(Path(dcerad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = f"""
@@ -51,18 +51,18 @@ import sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from dcerad import cli
-print(scipy_modules())
+print(scipy_modules(), "concurrent.futures.process" in sys.modules)
 assert cli.main(["crossval", "--features", {str(signal_table(tmp_path))!r},
                  "--out", {str(tmp_path / "report")!r}]) == 0
-print(scipy_modules())
+print(scipy_modules(), "concurrent.futures.process" in sys.modules)
 cli.extract_features({str(small_corpus)!r}, cli.RunConfig(), workers=2)
 print("scipy.sparse.csgraph" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     lines = out.stdout.strip().splitlines()
-    assert lines[0] == "[]"
-    assert lines[-2] == "[]"
+    assert lines[0] == "[] False"
+    assert lines[-2] == "[] False"
     assert lines[-1] == "True"
 
 

@@ -299,17 +299,6 @@ def test_feature_table_roundtrip_bit_exact(tmp_path):
     assert again.groups == m.groups
 
 
-def test_feature_table_header_mismatch(tmp_path):
-    rng = np.random.default_rng(5)
-    m = random_feature_matrix(rng)
-    path = tmp_path / "features.csv"
-    dataio.write_feature_table(path, m)
-    reordered = tuple(reversed(m.names))
-    with pytest.raises(HeaderMismatch):
-        dataio.read_feature_table(path, expected_names=reordered)
-    assert dataio.read_feature_table(path, expected_names=m.names).names == m.names
-
-
 def test_feature_table_empty_is_fine(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("patient_id,lesion_id,label,f_0\n")

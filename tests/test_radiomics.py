@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcerad.errors import BadLevelCount, EmptyMask
-from dcerad.filters import DerivedImageId
+from dcerad.filters import DerivedImageId, default_catalog, filter_radius_voxels
 from dcerad.radiomics import (FIRST_ORDER_NAMES, GLCM_DEGENERATE, GLCM_NAMES,
                               GLDM_NAMES, GLSZM_NAMES, SHAPE_NAMES, DiscretizedRoi,
                               discretize, extract_radiomic_features,
@@ -12,7 +12,7 @@ from dcerad.radiomics import (FIRST_ORDER_NAMES, GLCM_DEGENERATE, GLCM_NAMES,
                               gldm_features, gldm_matrix, glszm_features,
                               glszm_matrix, radiomic_feature_names, shape_features,
                               surface_area_mm2)
-from dcerad.volume import voxel_count
+from dcerad.volume import NEIGHBOUR_OFFSETS, voxel_count
 
 from conftest import make_mask, make_volume, roi_for, uniform_series
 
@@ -106,7 +106,7 @@ def glszm_oracle(grid, ng):
     return m
 
 
-def gldm_oracle(grid, ng, alpha=0):
+def gldm_oracle(grid, ng):
     nx, ny, nz = grid.shape
     entries = []
     for x in range(nx):
@@ -119,7 +119,7 @@ def gldm_oracle(grid, ng, alpha=0):
                 for dx, dy, dz in NEIGHBORS_26:
                     u, v, w = x + dx, y + dy, z + dz
                     if (0 <= u < nx and 0 <= v < ny and 0 <= w < nz
-                            and grid[u, v, w] > 0 and abs(int(grid[u, v, w]) - int(g)) <= alpha):
+                            and grid[u, v, w] == g):
                         dep += 1
                 entries.append((int(g), dep))
     dmax = max(d for _, d in entries)
@@ -304,9 +304,14 @@ def test_discretize_extremes_occupied():
 # --- first order --------------------------------------------------------------------
 
 
+def first_order_of(data):
+    """First-order features of a whole (unit-spacing) volume."""
+    vol = make_volume(data)
+    return first_order_features(discretize(vol, make_mask(np.ones(vol.dims))), 1.0)
+
+
 def test_first_order_constant():
-    vol = make_volume(np.full((3, 1, 1), 2.0))
-    f = first_order_features(vol, make_mask(np.ones((3, 1, 1))))
+    f = first_order_of(np.full((3, 1, 1), 2.0))
     assert f["Mean"] == 2.0
     assert f["Variance"] == 0.0
     assert f["Range"] == 0.0
@@ -316,8 +321,7 @@ def test_first_order_constant():
 
 
 def test_first_order_hand_arithmetic():
-    vol = make_volume(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
-    f = first_order_features(vol, make_mask(np.ones((4, 1, 1))))
+    f = first_order_of(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
     assert f["Mean"] == 2.5
     assert f["Variance"] == 1.25
     assert f["Median"] == 2.5
@@ -327,8 +331,7 @@ def test_first_order_hand_arithmetic():
 
 def test_first_order_moments_oracle():
     v = np.array([0.0, 0.0, 0.0, 8.0])
-    vol = make_volume(v.reshape(4, 1, 1))
-    f = first_order_features(vol, make_mask(np.ones((4, 1, 1))))
+    f = first_order_of(v.reshape(4, 1, 1))
     mu = v.mean()
     m2 = ((v - mu) ** 2).mean()
     m3 = ((v - mu) ** 3).mean()
@@ -339,8 +342,7 @@ def test_first_order_moments_oracle():
 
 def test_first_order_count_and_names():
     assert len(FIRST_ORDER_NAMES) == 18
-    vol = make_volume(np.arange(8.0).reshape(2, 2, 2))
-    f = first_order_features(vol, make_mask(np.ones((2, 2, 2))))
+    f = first_order_of(np.arange(8.0).reshape(2, 2, 2))
     assert set(f) == set(FIRST_ORDER_NAMES)
 
 
@@ -485,14 +487,11 @@ def haralick_example_roi():
 
 
 def test_glcm_single_direction_example():
-    d = haralick_example_roi()
-    p = glcm_matrix(d, offsets=((1, 0, 0),))
-    expected = np.zeros((4, 4))
-    for i in (1, 2, 3, 4):
-        expected[i - 1, i - 1] = 1 / 6
-    for i, j in ((1, 2), (2, 1), (3, 4), (4, 3)):
-        expected[i - 1, j - 1] = 1 / 12
-    assert np.allclose(p, expected, atol=1e-12)
+    # on a 4 x 1 x 1 line only the x offset finds pairs: (1,1), (1,2), (2,2),
+    # each counted in both orders, 6 in all
+    d = roi_from_levels(np.array([1, 1, 2, 2]).reshape(4, 1, 1), 2)
+    p = glcm_matrix(d)
+    assert np.allclose(p, [[2 / 6, 1 / 6], [1 / 6, 2 / 6]], atol=1e-12)
 
 
 def test_glcm_single_voxel_degenerate():
@@ -536,9 +535,8 @@ def test_glcm_features_match_oracle_on_example():
 def test_glcm_matrix_matches_pair_enumeration(seed):
     rng = np.random.default_rng(seed)
     d = random_levels(rng)
-    from dcerad.radiomics import GLCM_OFFSETS
     ours = glcm_matrix(d)
-    ref = glcm_oracle(level_grid(d), d.ng, GLCM_OFFSETS)
+    ref = glcm_oracle(level_grid(d), d.ng, NEIGHBOUR_OFFSETS)
     assert np.allclose(ours, ref, atol=1e-15)
     if ours.sum():
         assert ours.sum() == pytest.approx(1.0, abs=1e-12)
@@ -641,7 +639,7 @@ def test_gldm_single_voxel():
 
 def test_gldm_constant_quad():
     d = roi_from_levels(np.ones((2, 2, 1), dtype=np.int32), 2)
-    m = gldm_matrix(d, alpha=0)
+    m = gldm_matrix(d)
     assert m[0, 3] == 4 and m.sum() == 4
 
 
@@ -649,8 +647,7 @@ def test_gldm_constant_quad():
 def test_gldm_matrix_matches_neighbor_count(seed):
     rng = np.random.default_rng(300 + seed)
     d = random_levels(rng)
-    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(level_grid(d), d.ng, 0))
-    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(level_grid(d), d.ng, 1))
+    assert np.array_equal(gldm_matrix(d), gldm_oracle(level_grid(d), d.ng))
 
 
 def random_roi(rng, ng):
@@ -676,12 +673,10 @@ def random_roi(rng, ng):
 @pytest.mark.parametrize("ng", [2, 32])
 @pytest.mark.parametrize("seed", range(4))
 def test_texture_matrices_match_oracles_at_size(seed, ng):
-    from dcerad.radiomics import GLCM_OFFSETS
     d = random_roi(np.random.default_rng(400 + seed), ng)
-    assert np.array_equal(glcm_matrix(d), glcm_oracle(level_grid(d), ng, GLCM_OFFSETS))
+    assert np.array_equal(glcm_matrix(d), glcm_oracle(level_grid(d), ng, NEIGHBOUR_OFFSETS))
     assert np.array_equal(glszm_matrix(d), glszm_oracle(level_grid(d), ng))
-    assert np.array_equal(gldm_matrix(d, 0), gldm_oracle(level_grid(d), ng, 0))
-    assert np.array_equal(gldm_matrix(d, 1), gldm_oracle(level_grid(d), ng, 1))
+    assert np.array_equal(gldm_matrix(d), gldm_oracle(level_grid(d), ng))
 
 
 def test_gldm_degenerate_features():
@@ -714,7 +709,8 @@ def constant_case(dims=(8, 8, 8)):
 
 def test_extract_constant_series_texture():
     series, roi = constant_case()
-    feats = extract_radiomic_features(series, roi).as_dict()
+    result = extract_radiomic_features(series, roi)
+    feats = dict(zip(result.names, result.values))
     for image in ("original", "wavelet-LLL", "wavelet-HHH", "log-sigma-1mm"):
         assert feats[f"{image}_firstorder_Entropy"] == 0.0, image
         assert feats[f"{image}_firstorder_Uniformity"] == 1.0, image
@@ -743,20 +739,30 @@ def test_extract_default_count_and_finite():
     assert feats.names == radiomic_feature_names()
 
 
-def test_extract_crop_equivalence():
-    rng = np.random.default_rng(9)
-    dims = (14, 12, 10)
+def test_extract_translation_invariant():
+    # one lesion patch, with the catalog's full margin of its own background,
+    # placed at two interior positions: every feature comes out the same
     from dcerad.volume import DceSeries
-    phases = tuple(make_volume(rng.uniform(50, 250, dims), (0.9, 1.0, 1.2))
-                   for _ in range(6))
-    series = DceSeries(phases)
-    mask = np.zeros(dims, dtype=bool)
-    mask[4:8, 5:9, 3:7] = True
-    roi = roi_for(make_mask(mask))
-    a = extract_radiomic_features(series, roi, crop=True)
-    b = extract_radiomic_features(series, roi, crop=False)
-    assert a.names == b.names
-    np.testing.assert_array_equal(a.values, b.values)
+    spacing = (1.5, 1.4, 2.0)
+    margin = np.max([filter_radius_voxels(i, spacing) for i in default_catalog()], axis=0)
+    rng = np.random.default_rng(9)
+    lesion = rng.random((5, 4, 4)) < 0.8
+    lesion[2, 2, 2] = True
+    patch_mask = np.pad(lesion, [(m, m) for m in margin])
+    patch = [rng.uniform(50, 250, patch_mask.shape) for _ in range(6)]
+    dims = tuple(n + 6 for n in patch_mask.shape)
+    vectors = []
+    for offset in ((0, 0, 0), (6, 3, 5)):
+        window = tuple(slice(o, o + n) for o, n in zip(offset, patch_mask.shape))
+        phases, mask = [], np.zeros(dims, dtype=bool)
+        mask[window] = patch_mask
+        for values in patch:
+            full = rng.uniform(50, 250, dims)        # other background elsewhere
+            full[window] = values
+            phases.append(make_volume(full, spacing))
+        vectors.append(extract_radiomic_features(DceSeries(tuple(phases)),
+                                                 roi_for(make_mask(mask))).values)
+    assert np.array_equal(vectors[0], vectors[1])
 
 
 BOX_SPACING = (0.93, 0.93, 0.5)
@@ -811,15 +817,19 @@ def test_box_windows_match_full_volume_filters(name, monkeypatch):
 
 
 def test_extract_builds_the_pair_graph_once(monkeypatch):
+    from functools import cached_property
+
     from dcerad.volume import DceSeries, Mask3D
     calls = []
-    pairs_along = Mask3D.pairs_along
+    build = Mask3D.neighbour_pairs.func
 
-    def counting(self, offsets):
-        calls.append(offsets)
-        return pairs_along(self, offsets)
+    def counting(self):
+        calls.append(self.dims)
+        return build(self)
 
-    monkeypatch.setattr(Mask3D, "pairs_along", counting)
+    counted = cached_property(counting)
+    counted.__set_name__(Mask3D, "neighbour_pairs")
+    monkeypatch.setattr(Mask3D, "neighbour_pairs", counted)
     rng = np.random.default_rng(5)
     dims = (16, 14, 12)
     series = DceSeries(tuple(make_volume(rng.uniform(50, 250, dims)) for _ in range(6)))

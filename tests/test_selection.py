@@ -21,15 +21,15 @@ def lasso_objective(x, y, beta, lam) -> float:
     return float(0.5 * (r @ r) / x.shape[0] + lam * np.abs(beta).sum())
 
 
-def reference_cd(x, y, lam, tol=1e-7, max_sweeps=100_000):
-    """Plain cyclic coordinate descent from zero with the soft-threshold update,
-    stopped once a full sweep moves no coefficient by tol: an independent,
-    slow reference for the homotopy."""
+def reference_cd(x, y, lam, tol=1e-7, max_sweeps=100_000, start=None):
+    """Plain cyclic coordinate descent from zero (or from start, a warm start)
+    with the soft-threshold update, stopped once a full sweep moves no
+    coefficient by tol: an independent, slow reference for the homotopy."""
     n, p = x.shape
     gram = x.T @ x / n
     xty = x.T @ y / n
-    beta = np.zeros(p)
-    q = np.zeros(p)                          # gram @ beta
+    beta = np.zeros(p) if start is None else np.array(start, dtype=np.float64)
+    q = gram @ beta
     for _ in range(max_sweeps):
         max_delta = 0.0
         for j in range(p):
@@ -184,8 +184,10 @@ def test_path_optimal_on_degenerate_wide_design():
     grid = lambda_grid(lambda_max(x, y), 25)
     betas = lasso_path(x, y, grid)
     assert kkt_residual(x, y, grid, betas) <= 1e-9
+    reference = None
     for lam, beta in zip(grid, betas):
-        reference = reference_cd(x, y, lam)
+        # pathwise: each reference starts from the previous grid point's
+        reference = reference_cd(x, y, lam, start=reference)
         assert lasso_objective(x, y, beta, lam) <= lasso_objective(x, y, reference, lam) + 1e-12
 
 

@@ -165,10 +165,13 @@ def test_pairs_along_each_neighbour_pair_once_sorted(seed):
     dims = tuple(int(d) for d in rng.integers(2, 10, size=3))
     data = rng.random(dims) < rng.uniform(0.3, 0.9)        # holes throughout
     data.flat[int(rng.integers(0, data.size))] = True
-    a, b = make_mask(data).pairs_along(NEIGHBOUR_OFFSETS)
+    a, b = make_mask(data).neighbour_pairs
     assert np.all(np.diff(a) >= 0)
     coords = [tuple(c) for c in np.argwhere(data.transpose(2, 1, 0))[:, ::-1]]
     index = {c: i for i, c in enumerate(coords)}        # x-fastest in-mask order
+    offset_of = {(i, index[n]): k for c, i in index.items()
+                 for k, off in enumerate(NEIGHBOUR_OFFSETS)
+                 if (n := tuple(int(u) + v for u, v in zip(c, off))) in index}
     expected = set()
     for c, i in index.items():
         for step in np.ndindex(3, 3, 3):
@@ -178,19 +181,6 @@ def test_pairs_along_each_neighbour_pair_once_sorted(seed):
     got = [(min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist())]
     assert len(got) == len(set(got))
     assert set(got) == expected
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_pairs_along_distance_two_matches_brute_force(seed):
-    rng = np.random.default_rng(310 + seed)
-    dims = tuple(int(d) for d in rng.integers(2, 8, size=3))
-    data = rng.random(dims) < rng.uniform(0.3, 0.9)
-    data.flat[int(rng.integers(0, data.size))] = True
-    offsets = ((2, 0, 0), (0, -2, 1), (2, 2, -2), (-1, 0, 2))
-    a, b = make_mask(data).pairs_along(offsets)
-    assert np.all(np.diff(a) >= 0)
-    coords = [tuple(c) for c in np.argwhere(data.transpose(2, 1, 0))[:, ::-1]]
-    index = {c: i for i, c in enumerate(coords)}        # x-fastest in-mask order
-    expected = [(i, index[n]) for c, i in index.items() for off in offsets
-                if (n := tuple(int(u) + v for u, v in zip(c, off))) in index]
-    assert list(zip(a.tolist(), b.tolist())) == expected
+    # b = a + one of the offsets, and for each a the pairs come by offset
+    assert (list(zip(a.tolist(), b.tolist()))
+            == sorted(offset_of, key=lambda ab: (ab[0], offset_of[ab])))
