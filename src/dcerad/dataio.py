@@ -6,11 +6,14 @@ Formats
 NIfTI-1 (read-only subset): single-file layout with magic "n+1\\0", datatypes
 int16 (4), float32 (16) and float64 (64), both endiannesses (detected via the
 sizeof_hdr sentinel), optional gzip wrapping, scl_slope/scl_inter scaling when
-slope != 0, spacing from pixdim[1..3].  Orientation matrices are ignored
-beyond spacing: the pipeline is geometry-local and masks share the grid.
+slope != 0, spacing from pixdim[1..3].  Unscaled int16 and float32 load as
+native float32 and float64 as float64, all exactly; scaled data is scaled in
+float64.  Orientation matrices are ignored beyond spacing: the pipeline is
+geometry-local and masks share the grid.
 
 Raw volumes: little-endian f32/f64 scalars in x-fastest order, with a JSON
-sidecar ``<file>.json`` holding dims, spacing, dtype and byte_order.
+sidecar ``<file>.json`` holding dims, spacing, dtype and byte_order; they load
+at that precision.
 
 Manifest: one lesion per line,
 ``patient_id,lesion_id,c0,...,c5,mask,label``; paths are relative to the
@@ -40,6 +43,9 @@ from .volume import LABELS, DceSeries, LesionRoi, Mask3D, Volume3D
 _NIFTI_DTYPES = {4: "i2", 16: "f4", 64: "f8"}
 _NIFTI_BITPIX = {4: 16, 16: 32, 64: 64}
 _RAW_DTYPES = {"f32": "<f4", "f64": "<f8"}
+# the native precision each stored type loads as: exact, and with no copy of
+# the file's bytes when they are already native float32 or float64
+_STORED_AS = {"h": np.float32, "f": np.float32, "d": np.float64}
 
 
 def _read_file(path) -> bytes:
@@ -52,13 +58,13 @@ def _read_file(path) -> bytes:
     return blob
 
 
-def _check_finite(flat: np.ndarray, dims, path):
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        i = int(bad[0])
-        nx, ny = dims[0], dims[1]
-        voxel = (i % nx, (i // nx) % ny, i // (nx * ny))
-        raise NonFiniteIntensity(f"{path}: non-finite intensity at voxel {voxel}")
+def _volume(path, dims, spacing, flat) -> Volume3D:
+    """The volume of flat x-fastest values, its one finiteness check
+    reported against the file."""
+    try:
+        return Volume3D.from_flat(dims, spacing, flat)
+    except NonFiniteIntensity as exc:
+        raise NonFiniteIntensity(f"{path}: {exc}") from None
 
 
 def load_nifti(path) -> Volume3D:
@@ -104,11 +110,12 @@ def load_nifti(path) -> Volume3D:
     need = offset + count * dtype.itemsize
     if len(blob) < need:
         raise TruncatedFile(f"{path}: need {need} bytes for voxel data, file has {len(blob)}")
-    flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).astype(np.float64)
+    flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     if scl_slope != 0.0:
-        flat = flat * float(scl_slope) + float(scl_inter)
-    _check_finite(flat, (nx, ny, nz), path)
-    return Volume3D.from_flat((nx, ny, nz), spacing, flat)
+        flat = flat.astype(np.float64) * float(scl_slope) + float(scl_inter)
+    else:
+        flat = flat.astype(_STORED_AS[dtype.char], copy=False)
+    return _volume(path, (nx, ny, nz), spacing, flat)
 
 
 def load_raw(path) -> Volume3D:
@@ -135,9 +142,8 @@ def load_raw(path) -> Volume3D:
     if len(blob) != expected:
         raise MetadataMismatch(
             f"{path}: {len(blob)} bytes but dims {dims} with {dtype_key} need {expected}")
-    flat = np.frombuffer(blob, dtype=dtype).astype(np.float64)
-    _check_finite(flat, dims, path)
-    return Volume3D.from_flat(dims, spacing, flat)
+    flat = np.frombuffer(blob, dtype=dtype).astype(_STORED_AS[dtype.char], copy=False)
+    return _volume(path, dims, spacing, flat)
 
 
 def write_raw(path, vol: Volume3D, dtype: str = "f32"):

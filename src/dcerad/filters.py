@@ -8,6 +8,14 @@ along x, Y along y, Z along z; outputs keep the input dims.
 LoG: separable Gaussian with physical sigma (per-axis radius ceil(3*sigma/s),
 taps renormalized to unit sum), then the 6-neighbor Laplacian with central
 differences scaled by the squared spacing.  Symmetric extension throughout.
+Given a box, log_filter returns the response over that box only: the
+Laplacian reads the box widened by 1, so the x pass runs over those rows in
+x, the y pass over them in x and y, and the z pass over them in all three.
+Each value keeps its taps, their order and the mirror extension at the
+input's faces, so it is the float the whole response holds there.
+
+Inputs may be float32 or float64.  Every filtered image is float64, and is
+the same bits as the filter of the input converted to float64 first.
 """
 
 from dataclasses import dataclass
@@ -74,7 +82,7 @@ def _haar_bands(vol: Volume3D, bands) -> dict[str, Volume3D]:
     if min(vol.dims) < 2:
         raise VolumeTooSmall(f"wavelet transform needs every dim >= 2, got {vol.dims}")
     wanted = {b[:n] for b in bands for n in (1, 2, 3)}
-    partial = {"": vol.data}
+    partial = {"": np.asarray(vol.data, dtype=np.float64)}
     for axis in range(3):
         partial = {p + c: _haar_pass(partial[p], axis, c == "H")
                    for p in partial for c in "LH" if p + c in wanted}
@@ -93,16 +101,29 @@ def _gaussian_taps(sigma_mm: float, spacing: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _conv1d_symmetric(data: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate along one axis with symmetric (mirror) boundary extension."""
+def _mirror(index: np.ndarray, n: int) -> np.ndarray:
+    """Positions of a symmetric (mirror) extension of n samples, any width:
+    the same samples np.pad(mode="symmetric") places there."""
+    m = np.mod(index, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _conv1d_symmetric(data: np.ndarray, taps: np.ndarray, axis: int,
+                      start: int, stop: int) -> np.ndarray:
+    """Correlate along one axis with symmetric (mirror) boundary extension,
+    at positions start:stop along that axis."""
     radius = (len(taps) - 1) // 2
-    pad = [(0, 0)] * 3
-    pad[axis] = (radius, radius)
-    padded = np.pad(data, pad, mode="symmetric")
-    out = np.zeros_like(data)
     n = data.shape[axis]
+    lo, hi = start - radius, stop + radius
+    if lo >= 0 and hi <= n:               # no mirror needed: read in place
+        source = data[_along(axis, lo, hi)]
+    else:
+        source = data.take(_mirror(np.arange(lo, hi), n), axis=axis)
+    shape = list(source.shape)
+    shape[axis] = stop - start
+    out = np.zeros(shape)
     for j, w in enumerate(taps):
-        out += w * padded[_along(axis, j, j + n)]
+        out += w * source[_along(axis, j, j + stop - start)]
     return out
 
 
@@ -119,14 +140,20 @@ def _laplacian(data: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def log_filter(vol: Volume3D, sigma_mm: float) -> Volume3D:
-    """Laplacian of Gaussian at a physical scale; dims preserved."""
+def log_filter(vol: Volume3D, sigma_mm: float, box=None) -> Volume3D:
+    """Laplacian of Gaussian at a physical scale, over the whole volume or,
+    given box (3 slices), over that box only (see the module docstring)."""
     if not sigma_mm > 0:
         raise NonPositiveSigma(f"sigma must be > 0, got {sigma_mm}")
-    smoothed = vol.data
+    data = np.asarray(vol.data, dtype=np.float64)
+    box = box or (slice(None),) * 3
+    spans = [s.indices(n)[:2] for s, n in zip(box, data.shape)]
+    grown = [(max(b0 - 1, 0), min(b1 + 1, n)) for (b0, b1), n in zip(spans, data.shape)]
     for axis in range(3):
-        smoothed = _conv1d_symmetric(smoothed, _gaussian_taps(sigma_mm, vol.spacing[axis]), axis)
-    return Volume3D(_laplacian(smoothed, vol.spacing), vol.spacing)
+        taps = _gaussian_taps(sigma_mm, vol.spacing[axis])
+        data = _conv1d_symmetric(data, taps, axis, *grown[axis])
+    inner = tuple(slice(b0 - g0, b1 - g0) for (b0, b1), (g0, _) in zip(spans, grown))
+    return Volume3D(_laplacian(data, vol.spacing)[inner], vol.spacing)
 
 
 def filter_radius_voxels(image_id: DerivedImageId, spacing) -> tuple[int, int, int]:
@@ -139,10 +166,11 @@ def filter_radius_voxels(image_id: DerivedImageId, spacing) -> tuple[int, int, i
     return tuple(int(np.ceil(3.0 * image_id.sigma_mm / s)) + 1 for s in spacing)
 
 
-def derive(vol: Volume3D, image_id: DerivedImageId) -> Volume3D:
-    """Dispatch to the identity, one wavelet band, or one LoG response."""
-    if image_id.kind == "original":
-        return vol
+def derive(vol: Volume3D, image_id: DerivedImageId, box=None) -> Volume3D:
+    """Dispatch to the identity, one wavelet band, or one LoG response; with
+    box, a 3-tuple of slices, the image is cut to that box."""
+    if image_id.kind == "log":
+        return log_filter(vol, image_id.sigma_mm, box)
     if image_id.kind == "wavelet":
-        return _haar_bands(vol, (image_id.band,))[image_id.band]
-    return log_filter(vol, image_id.sigma_mm)
+        vol = _haar_bands(vol, (image_id.band,))[image_id.band]
+    return vol if box is None else Volume3D(vol.data[box], vol.spacing)

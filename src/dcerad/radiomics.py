@@ -30,12 +30,14 @@ Texture reads in-mask voxels only, so each derived image is filtered over
 a window of the full peak phase: the mask's bounding box widened by that
 image's own dependency radius (filter_radius_voxels: 0 for the original, 1
 for the wavelet bands, which are computed once, and per sigma for LoG),
-clamped to the volume, then cut to the box.  Mirror extension happens only at
-real volume faces, so every in-mask value comes from the same float
-operations as a full-volume filter.  Only the mask is cut to a frame of its
-own: the bounding box widened by the catalog's largest radius, clamped to the
-volume.  That frame fixes the coordinates of the shape features, whose
-diameter and axis lengths move by an ulp in another frame.
+clamped to the volume, then cut to the box.  LoG is given the box
+(filters.derive), so each of its passes runs only over the rows the next
+one reads.  Mirror extension happens only at real volume faces, so every
+in-mask value comes from the same float operations as a full-volume filter.
+Only the mask is cut to a frame of its own: the bounding box widened by the
+catalog's largest radius, clamped to the volume.  That frame fixes the
+coordinates of the shape features, whose diameter and axis lengths move by
+an ulp in another frame.
 
 Maximum3DDiameter is exact with no hull: a voxel halfway between two in-mask
 voxels along one of the 13 offsets is no vertex of the convex hull, so the
@@ -525,6 +527,11 @@ def _window(box, radius, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
             tuple(slice(b0 - l, b1 + 1 - l) for (b0, b1), l in zip(box, lo)))
 
 
+def _window_volume(vol: Volume3D, window) -> Volume3D:
+    """A C-ordered float64 copy of the volume over the window."""
+    return Volume3D(vol.data[window].astype(np.float64, order="C"), vol.spacing)
+
+
 def _texture_block(derived: Volume3D, mask: Mask3D, ng: int) -> list[float]:
     values: list[float] = []
     d = discretize(derived, mask, ng)
@@ -549,9 +556,9 @@ def extract_radiomic_features(series: DceSeries, roi: LesionRoi, catalog=None,
     box = bounding_box(roi.mask)
 
     # the shape features' frame: the box widened by the largest filter radius.
-    # It and each image's window below are C-ordered copies, as the arrays
-    # that np.pad makes are: mixing those with strided views of an x-fastest
-    # volume makes shape and filters up to a fifth slower
+    # It and each image's window below are C-ordered copies: strided views of
+    # an x-fastest volume make shape and filters up to a fifth slower.  The
+    # windows are float64, whatever precision the phase was stored at
     margin = np.max([(0, 0, 0)] + [filter_radius_voxels(image_id, base.spacing)
                                    for image_id in catalog], axis=0)
     frame, box_in_frame = _window(box, margin, base.dims)
@@ -569,11 +576,11 @@ def extract_radiomic_features(series: DceSeries, roi: LesionRoi, catalog=None,
         window, within = _window(box, filter_radius_voxels(image_id, base.spacing), base.dims)
         if image_id.kind == "wavelet":
             if bands is None:
-                bands = wavelet_bands(Volume3D(base.data[window].copy(), base.spacing))
-            derived = bands[image_id.band]
+                bands = wavelet_bands(_window_volume(base, window))
+            derived = Volume3D(bands[image_id.band].data[within], base.spacing)
         else:
-            derived = derive(Volume3D(base.data[window].copy(), base.spacing), image_id)
-        values += _texture_block(Volume3D(derived.data[within], base.spacing), inner, ng)
+            derived = derive(_window_volume(base, window), image_id, within)
+        values += _texture_block(derived, inner, ng)
 
     return RadiomicFeatureSet(names=radiomic_feature_names(catalog),
                               values=np.array(values, dtype=np.float64))

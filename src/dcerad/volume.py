@@ -5,7 +5,11 @@ Conventions fixed once, used everywhere:
 * arrays are indexed ``data[x, y, z]`` with shape ``(nx, ny, nz)``;
 * the flat voxel order (file layout, masked-value order) is x-fastest,
   i.e. ``ravel(order="F")`` of these arrays;
-* intensities are float64 and finite; spacing is mm/voxel.
+* intensities are finite and keep their stored precision: float32 when
+  the file held float32 or int16, float64 otherwise.  Code that reads
+  values works in float64 (masked_values, the radiomic windows); the
+  conversion is exact, so it gives the same bits wherever it happens;
+* spacing is mm/voxel.
 
 Volumes and masks are immutable after construction (backing arrays are
 flagged read-only) so they can be shared across workers.
@@ -30,6 +34,10 @@ NEIGHBOUR_OFFSETS = (
 )
 
 
+# the precisions a volume keeps as given; any other dtype becomes float64
+_STORED = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -39,16 +47,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Volume3D:
     """A 3D scalar image with physical voxel spacing."""
 
-    data: np.ndarray              # (nx, ny, nz) float64
+    data: np.ndarray              # (nx, ny, nz) native float32 or float64
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype not in _STORED:
+            data = data.astype(np.float64)
         if data.ndim != 3 or min(data.shape) < 1:
             raise DimensionMismatch(f"volume needs 3 positive dims, got shape {data.shape}")
         if not np.isfinite(data).all():
-            bad = np.argwhere(~np.isfinite(data))[0]
-            raise NonFiniteIntensity(f"non-finite intensity at voxel {tuple(int(i) for i in bad)}")
+            # the first bad voxel in the x-fastest file order
+            i = int(np.flatnonzero(~np.isfinite(data.ravel(order="F")))[0])
+            voxel = np.unravel_index(i, data.shape, order="F")
+            raise NonFiniteIntensity(f"non-finite intensity at voxel {tuple(map(int, voxel))}")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
             raise DimensionMismatch(f"spacing must be 3 finite positive values, got {spacing}")
@@ -62,7 +74,7 @@ class Volume3D:
     @classmethod
     def from_flat(cls, dims, spacing, flat) -> "Volume3D":
         """Build from a flat x-fastest scalar sequence."""
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat)
         nx, ny, nz = (int(d) for d in dims)
         if flat.size != nx * ny * nz:
             raise DimensionMismatch(f"{flat.size} values for dims {(nx, ny, nz)}")
@@ -175,10 +187,10 @@ def voxel_count(mask: Mask3D) -> int:
 
 
 def masked_values(vol: Volume3D, mask: Mask3D) -> np.ndarray:
-    """Volume values at true voxels, in x-fastest voxel order."""
+    """Volume values at true voxels, in x-fastest voxel order, as float64."""
     if vol.dims != mask.dims:
         raise DimensionMismatch(f"volume dims {vol.dims} != mask dims {mask.dims}")
-    return vol.flat()[mask.flat()]
+    return vol.flat()[mask.flat()].astype(np.float64, copy=False)
 
 
 def bounding_box(mask: Mask3D) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:

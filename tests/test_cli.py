@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,25 @@ def test_extract_shape_and_determinism(small_corpus, tmp_path, capsys):
     assert len(m.names) == 11 + 806
     err = capsys.readouterr().err
     assert "[extract]" in err
+
+
+# SHA-256 of features.csv from `dcerad phantom --cases 6 --seed 0` then
+# `dcerad extract --workers 1`, recorded with Python 3.11.7 and numpy 2.4.6.
+# Changes that claim to keep extraction's output byte-identical must keep it;
+# another numpy may legitimately round some feature differently.
+GOLDEN_FEATURES_SHA256 = "72234d564a70699f97aa7c8b862a89a608e3647cd047c75241ed3682693e2ac2"
+
+
+def test_extract_golden_bytes(tmp_path):
+    corpus = tmp_path / "corpus"
+    out = tmp_path / "features.csv"
+    assert main(["phantom", "--cases", "6", "--seed", "0", "--out", str(corpus)]) == 0
+    assert main(["extract", "--manifest", str(corpus / "manifest.txt"), "--out", str(out),
+                 "--workers", "1"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_FEATURES_SHA256, (
+        f"features.csv bytes moved: sha256 {digest}; the golden digest was recorded "
+        f"with numpy 2.4.6, this run has numpy {np.__version__}")
 
 
 def test_workers_default_to_the_affinity_mask(monkeypatch):

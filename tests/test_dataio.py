@@ -9,7 +9,12 @@ from dcerad.errors import (BadMagic, DimensionMismatch, DuplicateLesion, HeaderM
                            IoError, MetadataMismatch, MissingSidecar,
                            NonFiniteIntensity, NonPositivePixdim, ParseError,
                            TruncatedFile, UnknownLabel, UnsupportedDatatype)
+from dcerad.filters import (DEFAULT_LOG_SIGMAS_MM, WAVELET_BANDS, default_catalog, derive,
+                            log_filter, wavelet_bands)
+from dcerad.kinetics import extract_dynamic_features
+from dcerad.radiomics import extract_radiomic_features
 from dcerad.selection import FeatureMatrix
+from dcerad.volume import DceSeries, LesionRoi, Mask3D, Volume3D, masked_values
 
 from conftest import make_volume
 
@@ -157,6 +162,105 @@ def test_nifti_nonfinite_voxel_reported(tmp_path):
     with pytest.raises(NonFiniteIntensity) as exc:
         dataio.load_nifti(path)
     assert "(1, 0, 0)" in str(exc.value)
+
+
+def test_first_nonfinite_voxel_in_file_order(tmp_path):
+    # (1, 0, 0) comes first in the x-fastest file order, (0, 1, 0) in C order
+    data = np.ones((2, 2, 1))
+    data[1, 0, 0] = data[0, 1, 0] = np.nan
+    path = tmp_path / "v.raw"
+    path.write_bytes(data.ravel(order="F").astype("<f4").tobytes())
+    path.with_name("v.raw.json").write_text(
+        '{"dims": [2, 2, 1], "spacing": [1, 1, 1], "dtype": "f32", "byte_order": "little"}')
+    with pytest.raises(NonFiniteIntensity) as loaded:
+        dataio.load_raw(path)
+    assert str(loaded.value) == f"{path}: non-finite intensity at voxel (1, 0, 0)"
+    with pytest.raises(NonFiniteIntensity) as built:
+        Volume3D(data, (1.0, 1.0, 1.0))
+    assert str(built.value) == "non-finite intensity at voxel (1, 0, 0)"
+
+
+@pytest.mark.parametrize("datatype,big_endian,stored", [
+    (4, False, np.float32), (4, True, np.float32), (16, False, np.float32),
+    (16, True, np.float32), (64, False, np.float64), (64, True, np.float64)])
+def test_nifti_loads_at_stored_precision(tmp_path, datatype, big_endian, stored):
+    values = [3, -7, 12000, 0] if datatype == 4 else [0.1, -2.5, 3.7e5, 1e-9]
+    path = tmp_path / "vol.nii"
+    path.write_bytes(build_nifti((2, 2, 1), (1, 1, 1), datatype, values,
+                                 big_endian=big_endian))
+    vol = dataio.load_nifti(path)
+    assert vol.data.dtype == np.dtype(stored)
+    assert np.array_equal(vol.flat(), np.asarray(values, dtype=stored))
+
+
+@pytest.mark.parametrize("datatype", [4, 16])
+def test_nifti_scaled_in_float64(tmp_path, datatype):
+    # a float32 array times a Python float stays float32 under NumPy 2, so
+    # scaling must convert first, to give the float64 values it always gave
+    values = [3, -7, 12001, 1] if datatype == 4 else [0.1, -2.5, 3.7e5, 1e-9]
+    path = tmp_path / "vol.nii"
+    path.write_bytes(build_nifti((2, 2, 1), (1, 1, 1), datatype, values,
+                                 scl_slope=0.3, scl_inter=0.7))
+    vol = dataio.load_nifti(path)
+    stored = np.asarray(values, dtype={4: "i2", 16: "f4"}[datatype])
+    slope, inter = (float(np.float32(x)) for x in (0.3, 0.7))
+    assert vol.data.dtype == np.float64
+    assert np.array_equal(vol.flat(), stored.astype(np.float64) * slope + inter)
+
+
+def test_raw_f32_stays_float32_without_a_copy(tmp_path):
+    rng = np.random.default_rng(8)
+    dims = (5, 4, 3)
+    path = tmp_path / "v.raw"
+    dataio.write_raw(path, make_volume(rng.normal(size=dims)), "f32")
+    vol = dataio.load_raw(path)
+    n = int(np.prod(dims))
+    assert vol.data.dtype == np.float32
+    assert vol.data.nbytes == 4 * n            # no whole-volume float64 copy
+    owner = vol.data
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, bytes)            # a view of the file's bytes
+
+
+def test_stored_precision_is_exact(tmp_path):
+    # extraction and every filter give the same bits on a float32-loaded
+    # series as on its float64 copy, since float32 -> float64 is exact
+    rng = np.random.default_rng(14)
+    dims, spacing = (14, 13, 9), (0.9, 0.9, 1.4)
+    mask = np.zeros(dims, dtype=bool)
+    mask[0:6, 3:9, 2:7] = rng.random((6, 6, 5)) < 0.8
+    mask[3, 5, 4] = True
+    loaded = []
+    for i in range(6):
+        path = tmp_path / f"c{i}.raw"
+        dataio.write_raw(path, make_volume(rng.uniform(20, 300, dims) * (1 + i / 3), spacing),
+                         "f32")
+        loaded.append(dataio.load_raw(path))
+    wide = [Volume3D(p.data.astype(np.float64), spacing) for p in loaded]
+    assert all(p.data.dtype == np.float32 for p in loaded)
+    roi = LesionRoi("P0", "L0", Mask3D(mask), "benign")
+
+    assert masked_values(loaded[1], roi.mask).dtype == np.float64
+    assert np.array_equal(masked_values(loaded[1], roi.mask), masked_values(wide[1], roi.mask))
+    dynamic = [extract_dynamic_features(DceSeries(tuple(s)), roi).as_array()
+               for s in (loaded, wide)]
+    assert np.array_equal(*dynamic)
+    radiomic = [extract_radiomic_features(DceSeries(tuple(s)), roi).values
+                for s in (loaded, wide)]
+    assert np.array_equal(*radiomic)
+
+    narrow, full = loaded[2], wide[2]
+    for sigma in DEFAULT_LOG_SIGMAS_MM:
+        assert np.array_equal(log_filter(narrow, sigma).data, log_filter(full, sigma).data)
+    narrow_bands, full_bands = wavelet_bands(narrow), wavelet_bands(full)
+    for band in WAVELET_BANDS:
+        assert np.array_equal(narrow_bands[band].data, full_bands[band].data)
+    box = (slice(2, 7), slice(0, 5), slice(3, 9))
+    for image_id in default_catalog():
+        for region in (None, box):
+            assert np.array_equal(derive(narrow, image_id, region).data,
+                                  derive(full, image_id, region).data), image_id.name
 
 
 # --- raw format --------------------------------------------------------------------

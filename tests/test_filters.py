@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dcerad.errors import NonPositiveSigma, VolumeTooSmall
-from dcerad.filters import (WAVELET_BANDS, DerivedImageId, default_catalog, derive,
-                            log_filter, wavelet_bands)
+from dcerad.filters import (DEFAULT_LOG_SIGMAS_MM, WAVELET_BANDS, DerivedImageId,
+                            default_catalog, derive, log_filter, wavelet_bands)
 
 from conftest import make_volume
 
@@ -134,6 +134,44 @@ def test_log_matches_naive_oracle(seed, sigma):
     out = log_filter(vol, sigma)
     expected = naive_log(vol.data, spacing, sigma)
     assert np.allclose(out.data, expected, atol=1e-10)
+
+
+REGION_DIMS = (13, 11, 9)
+
+
+def region_boxes():
+    """Boxes touching none and each one of the six faces of REGION_DIMS."""
+    boxes = {"inside": (slice(4, 8), slice(3, 7), slice(3, 6))}
+    for axis in range(3):
+        n = REGION_DIMS[axis]
+        for side, cut in (("lo", slice(0, 3)), ("hi", slice(n - 2, n))):
+            box = list(boxes["inside"])
+            box[axis] = cut
+            boxes[f"face-{'xyz'[axis]}-{side}"] = tuple(box)
+    return boxes
+
+
+@pytest.mark.parametrize("name", sorted(region_boxes()))
+@pytest.mark.parametrize("sigma", DEFAULT_LOG_SIGMAS_MM)
+def test_region_log_equals_full_log_cut(name, sigma):
+    # each pass over the box +-1 only: the same taps, order and mirror
+    # extension, so the same floats as the whole response cut to the box
+    rng = np.random.default_rng(23)
+    vol = make_volume(rng.uniform(50, 250, REGION_DIMS), (0.93, 0.93, 1.6))
+    box = region_boxes()[name]
+    region = log_filter(vol, sigma, box)
+    assert region.spacing == vol.spacing
+    assert np.array_equal(region.data, log_filter(vol, sigma).data[box])
+    image_id = DerivedImageId("log", sigma_mm=sigma)
+    assert np.array_equal(derive(vol, image_id, box).data, region.data)
+
+
+@pytest.mark.parametrize("image_id", default_catalog()[:9], ids=lambda i: i.name)
+def test_derive_cuts_to_the_box(image_id):
+    rng = np.random.default_rng(24)
+    vol = make_volume(rng.normal(size=(6, 5, 4)), (0.9, 1.1, 2.0))
+    box = (slice(1, 4), slice(0, 2), slice(2, 4))
+    assert np.array_equal(derive(vol, image_id, box).data, derive(vol, image_id).data[box])
 
 
 def test_log_rejects_bad_sigma():
